@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/morph.hpp"
-#include "dataflow/schedule.hpp"
 #include "fabric/pe_array.hpp"
 #include "model/energy.hpp"
 #include "obs/critpath.hpp"
@@ -46,7 +45,7 @@ RunReport Accelerator::run(const nn::Network& net,
 RunReport Accelerator::run_with_plan(
     const nn::Network& net, const dataflow::NetworkPlan& plan,
     const std::vector<dataflow::LayerStreamStats>& stats,
-    nn::Index batch) const {
+    nn::Index batch, const GroupObserver& observer) const {
   net.validate();
   plan.validate(net);
   MOCHA_CHECK(batch >= 1, "batch=" << batch);
@@ -100,6 +99,7 @@ RunReport Accelerator::run_with_plan(
     const obs::CritPathReport critpath =
         obs::analyze_critical_path(built.graph, run);
     gr.critpath = obs::summarize(critpath);
+    if (observer) observer(gi, built, run, critpath);
 
 #if MOCHA_OBS
     // Render this group's executed task graph on the simulated-time lanes;

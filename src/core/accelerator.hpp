@@ -9,10 +9,12 @@
 // every comparison in the experiment harness is apples-to-apples.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "core/planner.hpp"
 #include "core/report.hpp"
+#include "dataflow/schedule.hpp"
 #include "fabric/config.hpp"
 #include "model/tech.hpp"
 #include "nn/generate.hpp"
@@ -37,12 +39,20 @@ class Accelerator {
       const std::vector<dataflow::LayerStreamStats>& stats,
       nn::Index batch = 1) const;
 
+  /// Called once per fusion group, in order, with the group's index, its
+  /// executed schedule, the detailed engine result and the critical-path
+  /// analysis run_with_plan already computed for the report.
+  using GroupObserver = std::function<void(
+      std::size_t group, const dataflow::BuiltSchedule& built,
+      const sim::RunResult& run, const obs::CritPathReport& critpath)>;
+
   /// Simulates a caller-supplied plan (ablations, replays of functional
-  /// measurements).
+  /// measurements). `observer`, when set, sees every group as it runs
+  /// (offline analyses, schedule export) without changing the report.
   RunReport run_with_plan(
       const nn::Network& net, const dataflow::NetworkPlan& plan,
       const std::vector<dataflow::LayerStreamStats>& stats,
-      nn::Index batch = 1) const;
+      nn::Index batch = 1, const GroupObserver& observer = {}) const;
 
   const fabric::FabricConfig& config() const { return config_; }
   const model::TechParams& tech() const { return tech_; }
@@ -62,8 +72,8 @@ Accelerator make_mocha_accelerator(
 
 /// Fabric context-switch cost charged when entering the fusion group whose
 /// head layer is `group_first` — the same number run_with_plan folds into
-/// each GroupReport, factored out so offline analyzers (mocha_critpath)
-/// reconstruct identical totals.
+/// each GroupReport, factored out so offline analyzers (mocha_sim
+/// --critpath-out) reconstruct identical totals.
 std::int64_t group_reconfig_cycles(const fabric::FabricConfig& config,
                                    const dataflow::NetworkPlan& plan,
                                    std::size_t group_first);

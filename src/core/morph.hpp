@@ -65,7 +65,7 @@ struct MorphOptions {
   bool force_fallback = false;
 
   /// Per-layer criticality hints in [0, 1] from trace-driven critical-path
-  /// analysis (obs/critpath.hpp; produced by `mocha_critpath --emit-hints`,
+  /// analysis (obs/critpath.hpp; produced by `mocha_sim --emit-hints`,
   /// consumed via `mocha_sim --slack-hints`). Empty = unbiased search.
   /// When set, the size must equal the network's layer count.
   ///

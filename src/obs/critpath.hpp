@@ -27,7 +27,7 @@
 // upper bound dep CP + sum of per-resource serialization — AND validated
 // by replaying the engine with the modified ResourceSpec list. A replay
 // outside the analytic bounds means the model and the engine disagree;
-// callers (tools/mocha_critpath) treat that as a hard error.
+// callers (mocha_sim --critpath-out) treat that as a hard error.
 //
 // This header lives in src/obs but depends on sim types, so critpath.cpp
 // is compiled into the mocha_sim library (same precedent as sim/trace.cpp

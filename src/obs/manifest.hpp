@@ -14,7 +14,7 @@ namespace mocha::obs {
 
 struct RunManifest {
   std::string schema = "mocha.manifest.v1";
-  std::string tool;         // producing binary ("mocha_sim", "mocha_bench")
+  std::string tool;         // producing binary ("mocha_sim", "mocha_serve")
   std::string network;      // workload, when one applies
   std::string accelerator;  // accelerator/strategy under test
   std::string objective;    // planner objective

@@ -70,9 +70,9 @@ class TraceSession {
 
   std::uint64_t next_flow_id();
 
-  /// Dependence-edge flow events are opt-in (mocha_sim --trace-flows,
-  /// mocha_critpath --trace) so default trace documents — and their
-  /// goldens — keep the complete-events-only shape.
+  /// Dependence-edge flow events are opt-in (mocha_sim --trace-flows) so
+  /// default trace documents — and their goldens — keep the
+  /// complete-events-only shape.
   bool sim_flows_enabled() const {
     return sim_flows_.load(std::memory_order_relaxed);
   }

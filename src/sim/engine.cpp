@@ -87,38 +87,36 @@ RunResult Engine::run(TaskGraph& graph, bool detailed) const {
                        });
   };
 
+  // One id-order pass starts everything startable: starting a task only
+  // consumes resources, and tasks join the ready set only in complete(), so
+  // a task the pass skipped cannot become startable before the next event.
   auto dispatch = [&]() {
-    bool started = true;
-    while (started) {
-      started = false;
-      for (auto it = ready.begin(); it != ready.end();) {
-        Task& t = graph.task(*it);
-        if (!can_start(t)) {
-          ++it;
-          continue;
-        }
-        if (detailed) t.units.assign(t.resources.size(), 0);
-        for (std::size_t ri = 0; ri < t.resources.size(); ++ri) {
-          const auto r = static_cast<std::size_t>(t.resources[ri]);
-          --free_units[r];
-          if (!detailed) continue;
-          std::vector<char>& busy = unit_busy[r];
-          for (std::size_t u = 0; u < busy.size(); ++u) {
-            if (busy[u] == 0) {
-              busy[u] = 1;
-              t.units[ri] = static_cast<int>(u);
-              break;
-            }
+    for (auto it = ready.begin(); it != ready.end();) {
+      Task& t = graph.task(*it);
+      if (!can_start(t)) {
+        ++it;
+        continue;
+      }
+      if (detailed) t.units.assign(t.resources.size(), 0);
+      for (std::size_t ri = 0; ri < t.resources.size(); ++ri) {
+        const auto r = static_cast<std::size_t>(t.resources[ri]);
+        --free_units[r];
+        if (!detailed) continue;
+        std::vector<char>& busy = unit_busy[r];
+        for (std::size_t u = 0; u < busy.size(); ++u) {
+          if (busy[u] == 0) {
+            busy[u] = 1;
+            t.units[ri] = static_cast<int>(u);
+            break;
           }
         }
-        t.start = now;
-        t.finish = now + t.duration;
-        sram_now += t.sram_alloc_bytes;
-        result.peak_sram_bytes = std::max(result.peak_sram_bytes, sram_now);
-        events.emplace(t.finish, t.id);
-        it = ready.erase(it);
-        started = true;
       }
+      t.start = now;
+      t.finish = now + t.duration;
+      sram_now += t.sram_alloc_bytes;
+      result.peak_sram_bytes = std::max(result.peak_sram_bytes, sram_now);
+      events.emplace(t.finish, t.id);
+      it = ready.erase(it);
     }
   };
 

@@ -5,7 +5,7 @@
 //
 // The initial level comes from the MOCHA_LOG_LEVEL environment variable
 // (trace/debug/info/warn/error/off, default warn), read once at first use —
-// so mocha_sim, mocha_bench and the bench binaries are all controllable
+// so mocha_sim, mocha_serve and the bench binaries are all controllable
 // without code changes. Output goes through the observability layer's sink
 // abstraction (obs/sink.hpp), the same one the tracer writes its documents
 // through, so tests can capture log lines and tools can redirect them.

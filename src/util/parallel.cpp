@@ -202,8 +202,14 @@ void ThreadPool::for_range(
 
 namespace {
 
+// The process-global pool behind parallel_for, sized from MOCHA_THREADS on
+// first use (default: hardware_concurrency, minimum 1).
 std::mutex g_global_mu;
 std::unique_ptr<ThreadPool> g_global_pool;
+// parallel_for calls running on g_global_pool. Counted up under
+// g_global_mu, so set_global_threads (which holds it) sees every call that
+// has already picked up the pool it would destroy.
+std::atomic<int> g_in_flight{0};
 
 ThreadPool& locked_global() {
   if (!g_global_pool) {
@@ -214,14 +220,13 @@ ThreadPool& locked_global() {
 
 }  // namespace
 
-ThreadPool& ThreadPool::global() {
-  std::lock_guard<std::mutex> lock(g_global_mu);
-  return locked_global();
-}
-
 void ThreadPool::set_global_threads(int threads) {
   std::lock_guard<std::mutex> lock(g_global_mu);
   if (g_global_pool && g_global_pool->threads() == threads) return;
+  MOCHA_CHECK(g_in_flight.load() == 0,
+              "set_global_threads(" << threads << ") while "
+                                    << g_in_flight.load()
+                                    << " parallel_for call(s) are in flight");
   g_global_pool.reset();  // join old workers before spawning anew
   g_global_pool = std::make_unique<ThreadPool>(threads);
 }
@@ -234,7 +239,16 @@ int ThreadPool::global_threads() {
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   const std::function<void(std::int64_t, std::int64_t)>& fn,
                   const CancelToken* cancel) {
-  ThreadPool::global().for_range(begin, end, grain, fn, cancel);
+  ThreadPool* pool = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(g_global_mu);
+    pool = &locked_global();
+    g_in_flight.fetch_add(1);
+  }
+  struct Leave {
+    ~Leave() { g_in_flight.fetch_sub(1); }
+  } leave;
+  pool->for_range(begin, end, grain, fn, cancel);
 }
 
 std::int64_t default_grain(std::int64_t range, std::int64_t floor) {

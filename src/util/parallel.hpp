@@ -130,12 +130,9 @@ class ThreadPool {
   /// True when called from one of *any* ThreadPool's worker threads.
   static bool on_worker_thread();
 
-  /// The process-global pool, sized from MOCHA_THREADS on first use
-  /// (default: hardware_concurrency, minimum 1).
-  static ThreadPool& global();
-
   /// Resizes the global pool (tests and benchmarks sweep thread counts).
-  /// Must not be called while parallel work is in flight.
+  /// Must not be called while parallel work is in flight: a resize while
+  /// any parallel_for is running on the global pool throws CheckFailure.
   static void set_global_threads(int threads);
 
   /// Current global pool width (1 == serial).

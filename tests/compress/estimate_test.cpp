@@ -26,11 +26,20 @@ std::vector<Value> random_stream(std::size_t n, double sparsity,
   return out;
 }
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: uninitialized padding would put stack garbage into
+// the test names and change them from run to run. `zero` fills the slot the
+// compiler would otherwise pad between `kind` and `sparsity`.
 struct EstimateCase {
+  EstimateCase(CodecKind k, double s, double tol)
+      : kind(k), sparsity(s), tolerance(tol) {}
   CodecKind kind;
+  std::int32_t zero = 0;
   double sparsity;
   double tolerance;  // relative error allowed vs the real codec
 };
+static_assert(sizeof(EstimateCase) ==
+              sizeof(CodecKind) + sizeof(std::int32_t) + 2 * sizeof(double));
 
 class EstimateAccuracy : public ::testing::TestWithParam<EstimateCase> {};
 

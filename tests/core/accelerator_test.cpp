@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/morph.hpp"
+#include "core/report_json.hpp"
 
 namespace mocha::core {
 namespace {
@@ -109,6 +110,39 @@ TEST(Accelerator, RunWithExplicitPlanMatchesRun) {
   const RunReport direct = acc.run(net);
   EXPECT_EQ(via_plan.total_cycles, direct.total_cycles);
   EXPECT_NEAR(via_plan.total_energy_pj, direct.total_energy_pj, 1e-6);
+}
+
+TEST(Accelerator, ObserverSeesEveryGroupOnceInOrder) {
+  const Accelerator acc = make_mocha_accelerator();
+  const nn::Network net = nn::make_lenet5();
+  const auto stats = assumed_stats(net, nn::SparsityProfile{});
+  const auto plan = acc.plan(net, stats);
+  const RunReport plain = acc.run_with_plan(net, plan, stats);
+
+  std::vector<std::size_t> seen;
+  std::vector<sim::Cycle> makespans;
+  const RunReport observed = acc.run_with_plan(
+      net, plan, stats, 1,
+      [&](std::size_t group, const dataflow::BuiltSchedule& built,
+          const sim::RunResult& run, const obs::CritPathReport& critpath) {
+        seen.push_back(group);
+        makespans.push_back(run.makespan);
+        EXPECT_EQ(run.task_count, built.graph.size());
+        EXPECT_EQ(critpath.makespan, run.makespan);
+      });
+
+  ASSERT_EQ(seen.size(), plain.groups.size());
+  for (std::size_t g = 0; g < seen.size(); ++g) {
+    EXPECT_EQ(seen[g], g);
+    // The observed run is the one the report's group describes.
+    EXPECT_EQ(plain.groups[g].cycles,
+              makespans[g] + static_cast<sim::Cycle>(group_reconfig_cycles(
+                                 acc.config(), plan,
+                                 plain.groups[g].first_layer)));
+  }
+  // Observing changes nothing the report carries.
+  EXPECT_EQ(report_to_json(observed, nullptr, nullptr, true),
+            report_to_json(plain, nullptr, nullptr, true));
 }
 
 TEST(Accelerator, PeakSramWithinConfig) {

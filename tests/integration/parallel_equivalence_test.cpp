@@ -1,10 +1,13 @@
 // Parallel execution must be invisible in the results: the functional
-// executor's outputs, its measured coded-stream byte counts, and the morph
-// controller's chosen plans have to be bit-identical whether the thread pool
-// runs serial or wide. This is the determinism contract docs/PERF.md states.
+// executor's outputs, its measured coded-stream byte counts, the morph
+// controller's chosen plans and the comparative fleet's reports have to be
+// bit-identical whether the thread pool runs serial or wide. This is the
+// determinism contract docs/PERF.md states.
 #include <gtest/gtest.h>
 
+#include "bench/common.hpp"
 #include "core/morph.hpp"
+#include "core/report_json.hpp"
 #include "dataflow/executor.hpp"
 #include "nn/generate.hpp"
 #include "util/parallel.hpp"
@@ -147,6 +150,28 @@ TEST(ParallelEquivalence, ReferenceKernelsSerialVsEightThreads) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(serial[i] == parallel[i]) << net.layers[i].name;
+  }
+}
+
+// The figure harnesses run MOCHA and the three baselines concurrently
+// (bench::run_fleet); every report must match the serial sweep.
+TEST(ParallelEquivalence, FleetSerialVsEightThreads) {
+  const nn::Network net = alexnet_style();
+  const bench::Fleet fleet = bench::Fleet::make();
+
+  util::ThreadPool::set_global_threads(1);
+  const bench::FleetRuns serial = bench::run_fleet(fleet, net);
+  util::ThreadPool::set_global_threads(8);
+  const bench::FleetRuns parallel = bench::run_fleet(fleet, net);
+  util::ThreadPool::set_global_threads(1);
+
+  EXPECT_EQ(core::report_to_json(serial.mocha),
+            core::report_to_json(parallel.mocha));
+  ASSERT_EQ(serial.baselines.size(), parallel.baselines.size());
+  for (const auto& [strategy, report] : serial.baselines) {
+    EXPECT_EQ(core::report_to_json(report),
+              core::report_to_json(parallel.baselines.at(strategy)))
+        << baseline::strategy_name(strategy);
   }
 }
 

@@ -117,6 +117,26 @@ TEST(Parallel, SetGlobalThreadsResizes) {
   EXPECT_EQ(ThreadPool::global_threads(), 2);
 }
 
+// Resizing destroys the pool; a parallel_for still running on it must make
+// the resize fail loudly instead of pulling the pool out from under it.
+TEST(Parallel, SetGlobalThreadsRefusesWhileWorkIsInFlight) {
+  PoolGuard guard(1);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::thread runner([&] {
+    parallel_for(0, 1, 1, [&](std::int64_t, std::int64_t) {
+      entered = true;
+      while (!release) std::this_thread::yield();
+    });
+  });
+  while (!entered) std::this_thread::yield();
+  EXPECT_THROW(ThreadPool::set_global_threads(2), CheckFailure);
+  release = true;
+  runner.join();
+  ThreadPool::set_global_threads(2);  // nothing in flight any more
+  EXPECT_EQ(ThreadPool::global_threads(), 2);
+}
+
 TEST(Parallel, RejectsNegativeRange) {
   PoolGuard guard(1);
   EXPECT_THROW(parallel_for(10, 0, 1, [](std::int64_t, std::int64_t) {}),

@@ -2,8 +2,8 @@
 # status 2 and an explanation on stderr — never abort, never run anyway.
 #
 # Invoked by the `cli_errors` test as
-#   cmake -DSIM=<mocha_sim> -DBENCH=<mocha_bench> -DFIG=<fig_degradation>
-#         -DCRITPATH=<mocha_critpath> -DSERVE=<mocha_serve> -P cli_errors.cmake
+#   cmake -DSIM=<mocha_sim> -DFIG=<fig_degradation> -DSERVE=<mocha_serve>
+#         -P cli_errors.cmake
 
 # Runs `exe` with the remaining arguments and asserts exit code 2. When
 # `pattern` is non-empty, stderr must match it (e.g. "usage" proves the
@@ -45,34 +45,27 @@ expect_rejected(${SIM} "requires --trace" --trace-flows)  # flows need a file
 expect_rejected(${SIM} "only applies" --slack-hints h.json --accelerator tiling)
 expect_rejected(${SIM} "cannot read" --slack-hints ${CMAKE_CURRENT_LIST_DIR}/no-such-hints.json)
 
+# --- mocha_sim: critical-path mode ---
+expect_rejected(${SIM} "usage" --critpath-out)          # missing value
+expect_rejected(${SIM} "only apply" --critpath-out cp.json --accelerator tiling)
+expect_rejected(${SIM} "only apply" --emit-hints h.json --accelerator nextbest)
+expect_rejected(${SIM} "usage" --what-if)               # missing value
+expect_rejected(${SIM} "usage" --what-if dram+0 --critpath-out cp.json)  # add must be positive
+expect_rejected(${SIM} "usage" --what-if pe_groups*0 --critpath-out cp.json)  # zero scale
+expect_rejected(${SIM} "usage" --what-if bogus/2 --critpath-out cp.json)  # unknown task kind
+expect_rejected(${SIM} "usage" --top-k 0 --critpath-out cp.json)
+expect_rejected(${SIM} "requires --critpath-out" --what-if unbounded)
+expect_rejected(${SIM} "requires --critpath-out" --top-k 3)
+
 # --- mocha_sim: validated values past the parser ---
 expect_rejected(${SIM} "unknown network" --network bogus)
 expect_rejected(${SIM} "unknown objective" --objective speed)
 expect_rejected(${SIM} "unknown accelerator" --accelerator tpu)
 expect_rejected(${SIM} "cannot read" --faults ${CMAKE_CURRENT_LIST_DIR}/no-such-file.json)
 
-# --- mocha_bench ---
-expect_rejected(${BENCH} "usage" --frobnicate)
-expect_rejected(${BENCH} "usage" --out)                 # missing value
-expect_rejected(${BENCH} "usage" --out=)                # empty inline value
-expect_rejected(${BENCH} "usage" extra-positional)
-expect_rejected(${BENCH} "usage" --threads 0)           # below range
-expect_rejected(${BENCH} "usage" --threads 1,,2)        # empty item
-expect_rejected(${BENCH} "usage" --threads two)         # not a number
-expect_rejected(${BENCH} "usage" --isa avx9)            # not an ISA name
-
-# --- mocha_critpath ---
-expect_rejected(${CRITPATH} "usage" --frobnicate)
-expect_rejected(${CRITPATH} "usage" --what-if)            # missing value
-expect_rejected(${CRITPATH} "usage" --what-if dram+0)     # add must be positive
-expect_rejected(${CRITPATH} "usage" --what-if pe_groups*0)  # zero scale
-expect_rejected(${CRITPATH} "usage" --what-if bogus/2)    # unknown task kind
-expect_rejected(${CRITPATH} "usage" --top-k 0)
-expect_rejected(${CRITPATH} "unknown network" --network bogus)
-expect_rejected(${CRITPATH} "unknown objective" --objective speed)
-
 # --- mocha_serve: fleet flag parsing ---
 expect_rejected(${SERVE} "usage" --frobnicate)
+expect_rejected(${SERVE} "unknown network" --network bogus)
 expect_rejected(${SERVE} "usage" --shards)               # missing value
 expect_rejected(${SERVE} "usage" --shards 0)             # zero-width fleet
 expect_rejected(${SERVE} "usage" --shards 65)            # above range

@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -41,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli.hpp"
 #include "fault/model.hpp"
 #include "nn/generate.hpp"
 #include "obs/metrics.hpp"
@@ -48,7 +48,6 @@
 #include "obs/trace.hpp"
 #include "serve/router.hpp"
 #include "serve/signal.hpp"
-#include "util/cpuid.hpp"
 #include "util/rng.hpp"
 #include "util/timing.hpp"
 
@@ -116,266 +115,170 @@ struct Args {
   std::vector<int> bench_replicas;
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0
-      << " [--network alexnet|vgg16|lenet5|nin|mobilenet] [--requests N] "
-         "[--rate RPS]\n"
-         "       [--shards N] [--workers N] [--queue-cap N] [--batch-max N] "
-         "[--deadline-ms N]\n"
-         "       [--priority-levels N] [--tenants N] [--tenant-rate RPS] "
-         "[--tenant-burst N]\n"
-         "       [--retries N] [--breaker-failures N] "
-         "[--breaker-cooldown-ms N] [--slo-ms N]\n"
-         "       [--no-hedge] [--hedge-ms N] [--no-steal] "
-         "[--canary-period-ms N] [--hedge-compare]\n"
-         "       [--replicas R] [--models N] [--routing-out FILE] "
-         "[--availability-min FRAC]\n"
-         "       [--faults FILE] [--fault-kill FRAC] [--codec-flip RATE] "
-         "[--fault-seed N]\n"
-         "       [--heal-after FRAC] [--kill-shard K] [--kill-after FRAC] "
-         "[--heal-shard-after FRAC]\n"
-         "       [--stall-ms N] [--fleet-faulty N] [--seed N] [--json] "
-         "[--metrics] [--out FILE]\n"
-         "       [--trace FILE] [--bench-out FILE] [--bench-shards LIST] "
-         "[--bench-replicas LIST]\n"
-         "       [--isa scalar|avx2|neon]\n";
-  std::exit(2);
-}
-
-[[noreturn]] void bad_arg(const char* argv0, const std::string& message) {
-  std::cerr << "error: " << message << "\n";
-  usage(argv0);
-}
-
-std::int64_t parse_int(const char* argv0, const std::string& flag,
-                       const std::string& text, std::int64_t lo,
-                       std::int64_t hi) {
-  std::int64_t value = 0;
-  std::size_t used = 0;
-  try {
-    value = std::stoll(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != text.size() || text.empty()) {
-    bad_arg(argv0, flag + " expects an integer, got '" + text + "'");
-  }
-  if (value < lo || value > hi) {
-    bad_arg(argv0, flag + "=" + text + " outside [" + std::to_string(lo) +
-                       ", " + std::to_string(hi) + "]");
-  }
-  return value;
-}
-
-double parse_double(const char* argv0, const std::string& flag,
-                    const std::string& text, double lo, double hi) {
-  double value = 0;
-  std::size_t used = 0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != text.size() || text.empty() || !std::isfinite(value)) {
-    bad_arg(argv0, flag + " expects a number, got '" + text + "'");
-  }
-  if (value < lo || value > hi) {
-    std::ostringstream os;
-    os << flag << "=" << text << " outside [" << lo << ", " << hi << "]";
-    bad_arg(argv0, os.str());
-  }
-  return value;
-}
-
-std::vector<int> parse_shard_list(const char* argv0, const std::string& flag,
+std::vector<int> parse_shard_list(const mocha::cli::Parser& cli,
                                   const std::string& text) {
   std::vector<int> out;
   std::stringstream ss(text);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    out.push_back(
-        static_cast<int>(parse_int(argv0, flag, item, 1, 64)));
+    out.push_back(static_cast<int>(cli.parse_int(item, 1, 64)));
   }
-  if (out.empty()) bad_arg(argv0, flag + " expects a non-empty list");
+  if (out.empty()) cli.bad_arg(cli.flag() + " expects a non-empty list");
   return out;
 }
 
 Args parse(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    bool have_inline = false;
-    std::string inline_value;
-    if (flag.rfind("--", 0) == 0) {
-      const std::size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        have_inline = true;
-        inline_value = flag.substr(eq + 1);
-        flag = flag.substr(0, eq);
-      }
-    }
-    bool took_value = false;
-    auto value = [&]() -> std::string {
-      took_value = true;
-      if (have_inline) return inline_value;
-      if (i + 1 >= argc) bad_arg(argv[0], flag + " expects a value");
-      return argv[++i];
-    };
+  mocha::cli::Parser cli(
+      argc, argv,
+      " [--network alexnet|vgg16|lenet5|nin|mobilenet] [--requests N] "
+      "[--rate RPS]\n"
+      "       [--shards N] [--workers N] [--queue-cap N] [--batch-max N] "
+      "[--deadline-ms N]\n"
+      "       [--priority-levels N] [--tenants N] [--tenant-rate RPS] "
+      "[--tenant-burst N]\n"
+      "       [--retries N] [--breaker-failures N] "
+      "[--breaker-cooldown-ms N] [--slo-ms N]\n"
+      "       [--no-hedge] [--hedge-ms N] [--no-steal] "
+      "[--canary-period-ms N] [--hedge-compare]\n"
+      "       [--replicas R] [--models N] [--routing-out FILE] "
+      "[--availability-min FRAC]\n"
+      "       [--faults FILE] [--fault-kill FRAC] [--codec-flip RATE] "
+      "[--fault-seed N]\n"
+      "       [--heal-after FRAC] [--kill-shard K] [--kill-after FRAC] "
+      "[--heal-shard-after FRAC]\n"
+      "       [--stall-ms N] [--fleet-faulty N] [--seed N] [--json] "
+      "[--metrics] [--out FILE]\n"
+      "       [--trace FILE] [--bench-out FILE] [--bench-shards LIST] "
+      "[--bench-replicas LIST]\n"
+      "       [--isa scalar|avx2|neon]\n");
+  while (cli.next()) {
+    const std::string& flag = cli.flag();
     if (flag == "--network") {
-      args.network = value();
+      args.network = cli.network();
     } else if (flag == "--requests") {
-      args.requests =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 1 << 20));
+      args.requests = static_cast<int>(cli.int_value(1, 1 << 20));
     } else if (flag == "--rate") {
-      args.rate = parse_double(argv[0], flag, value(), 1e-3, 1e6);
+      args.rate = cli.double_value(1e-3, 1e6);
     } else if (flag == "--shards") {
-      args.shards =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 64));
+      args.shards = static_cast<int>(cli.int_value(1, 64));
     } else if (flag == "--workers") {
-      args.workers =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 256));
+      args.workers = static_cast<int>(cli.int_value(1, 256));
     } else if (flag == "--queue-cap") {
-      args.queue_cap =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 1 << 20));
+      args.queue_cap = static_cast<int>(cli.int_value(1, 1 << 20));
     } else if (flag == "--batch-max") {
-      args.batch_max =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 64));
+      args.batch_max = static_cast<int>(cli.int_value(1, 64));
     } else if (flag == "--deadline-ms") {
-      args.deadline_ms = parse_int(argv[0], flag, value(), 0, 1 << 30);
+      args.deadline_ms = cli.int_value(0, 1 << 30);
     } else if (flag == "--priority-levels") {
-      args.priority_levels =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 100));
+      args.priority_levels = static_cast<int>(cli.int_value(1, 100));
     } else if (flag == "--tenants") {
-      args.tenants =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 1000));
+      args.tenants = static_cast<int>(cli.int_value(1, 1000));
     } else if (flag == "--tenant-rate") {
-      args.tenant_rate = parse_double(argv[0], flag, value(), 0, 1e9);
+      args.tenant_rate = cli.double_value(0, 1e9);
     } else if (flag == "--tenant-burst") {
-      args.tenant_burst = parse_double(argv[0], flag, value(), 1, 1e9);
+      args.tenant_burst = cli.double_value(1, 1e9);
     } else if (flag == "--retries") {
-      args.retries =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 100));
+      args.retries = static_cast<int>(cli.int_value(1, 100));
     } else if (flag == "--breaker-failures") {
-      args.breaker_failures =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 1000));
+      args.breaker_failures = static_cast<int>(cli.int_value(1, 1000));
     } else if (flag == "--breaker-cooldown-ms") {
-      args.breaker_cooldown_ms = parse_int(argv[0], flag, value(), 1, 1 << 30);
+      args.breaker_cooldown_ms = cli.int_value(1, 1 << 30);
     } else if (flag == "--slo-ms") {
-      args.slo_ms = parse_int(argv[0], flag, value(), 0, 1 << 30);
+      args.slo_ms = cli.int_value(0, 1 << 30);
     } else if (flag == "--no-hedge") {
       args.no_hedge = true;
     } else if (flag == "--hedge-ms") {
-      args.hedge_ms = parse_int(argv[0], flag, value(), 1, 60'000);
+      args.hedge_ms = cli.int_value(1, 60'000);
     } else if (flag == "--no-steal") {
       args.no_steal = true;
     } else if (flag == "--canary-period-ms") {
-      args.canary_period_ms = parse_int(argv[0], flag, value(), 1, 60'000);
+      args.canary_period_ms = cli.int_value(1, 60'000);
     } else if (flag == "--hedge-compare") {
       args.hedge_compare = true;
     } else if (flag == "--replicas") {
-      args.replicas =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 64));
+      args.replicas = static_cast<int>(cli.int_value(1, 64));
     } else if (flag == "--models") {
-      args.models =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 64));
+      args.models = static_cast<int>(cli.int_value(1, 64));
     } else if (flag == "--routing-out") {
-      args.routing_out = value();
+      args.routing_out = cli.value();
     } else if (flag == "--availability-min") {
-      args.availability_min = parse_double(argv[0], flag, value(), 0.0, 1.0);
+      args.availability_min = cli.double_value(0.0, 1.0);
     } else if (flag == "--faults") {
-      args.faults_file = value();
+      args.faults_file = cli.value();
     } else if (flag == "--fault-kill") {
-      args.fault_kill = parse_double(argv[0], flag, value(), 0.0, 0.95);
+      args.fault_kill = cli.double_value(0.0, 0.95);
     } else if (flag == "--codec-flip") {
-      args.codec_flip = parse_double(argv[0], flag, value(), 0.0, 1.0);
+      args.codec_flip = cli.double_value(0.0, 1.0);
     } else if (flag == "--fault-seed") {
-      args.fault_seed = static_cast<std::uint64_t>(parse_int(
-          argv[0], flag, value(), 0, std::numeric_limits<std::int64_t>::max()));
+      args.fault_seed = static_cast<std::uint64_t>(
+          cli.int_value(0, std::numeric_limits<std::int64_t>::max()));
     } else if (flag == "--heal-after") {
-      args.heal_after = parse_double(argv[0], flag, value(), 0.0, 1.0);
+      args.heal_after = cli.double_value(0.0, 1.0);
     } else if (flag == "--kill-shard") {
-      args.kill_shard =
-          static_cast<int>(parse_int(argv[0], flag, value(), 0, 63));
+      args.kill_shard = static_cast<int>(cli.int_value(0, 63));
     } else if (flag == "--kill-after") {
-      args.kill_after = parse_double(argv[0], flag, value(), 0.0, 1.0);
+      args.kill_after = cli.double_value(0.0, 1.0);
     } else if (flag == "--heal-shard-after") {
-      args.heal_shard_after = parse_double(argv[0], flag, value(), 0.0, 1.0);
+      args.heal_shard_after = cli.double_value(0.0, 1.0);
     } else if (flag == "--stall-ms") {
-      args.stall_ms = parse_int(argv[0], flag, value(), 1, 60'000);
+      args.stall_ms = cli.int_value(1, 60'000);
     } else if (flag == "--fleet-faulty") {
-      args.fleet_faulty =
-          static_cast<int>(parse_int(argv[0], flag, value(), 0, 64));
+      args.fleet_faulty = static_cast<int>(cli.int_value(0, 64));
     } else if (flag == "--seed") {
-      args.seed = static_cast<std::uint64_t>(parse_int(
-          argv[0], flag, value(), 0, std::numeric_limits<std::int64_t>::max()));
+      args.seed = static_cast<std::uint64_t>(
+          cli.int_value(0, std::numeric_limits<std::int64_t>::max()));
     } else if (flag == "--json") {
       args.json = true;
     } else if (flag == "--metrics") {
       args.metrics = true;
     } else if (flag == "--out") {
-      args.out_file = value();
+      args.out_file = cli.value();
     } else if (flag == "--trace") {
-      args.trace_file = value();
+      args.trace_file = cli.value();
     } else if (flag == "--bench-out") {
-      args.bench_out = value();
+      args.bench_out = cli.value();
     } else if (flag == "--bench-shards") {
-      args.bench_shards = parse_shard_list(argv[0], flag, value());
+      args.bench_shards = parse_shard_list(cli, cli.value());
     } else if (flag == "--bench-replicas") {
-      args.bench_replicas = parse_shard_list(argv[0], flag, value());
-    } else if (flag == "--isa") {
-      // Kernel/codec dispatch override, same values as MOCHA_KERNEL_ISA.
-      // Parse errors are a CLI problem (exit 2); an unsupported-but-valid
-      // ISA is a host/build problem and stays the hard MOCHA_CHECK.
-      const std::string text = value();
-      mocha::util::KernelIsa isa;
-      if (!mocha::util::parse_isa(text, &isa)) {
-        bad_arg(argv[0], "--isa expects scalar|avx2|neon, got '" + text + "'");
-      }
-      mocha::util::force_isa(isa);
-    } else if (flag == "--help" || flag == "-h") {
-      usage(argv[0]);
+      args.bench_replicas = parse_shard_list(cli, cli.value());
     } else {
-      bad_arg(argv[0], "unknown flag: " + flag);
-    }
-    if (have_inline && !took_value) {
-      bad_arg(argv[0], flag + " does not take a value");
+      cli.common_flag();
     }
   }
   if (!args.faults_file.empty() && args.fault_kill > 0.0) {
-    bad_arg(argv[0], "--faults and --fault-kill are mutually exclusive");
+    cli.bad_arg("--faults and --fault-kill are mutually exclusive");
   }
   if (args.kill_shard >= args.shards) {
-    bad_arg(argv[0], "--kill-shard=" + std::to_string(args.kill_shard) +
-                         " out of range for --shards=" +
-                         std::to_string(args.shards));
+    cli.bad_arg("--kill-shard=" + std::to_string(args.kill_shard) +
+                " out of range for --shards=" + std::to_string(args.shards));
   }
   if (args.fleet_faulty > args.shards) {
-    bad_arg(argv[0], "--fleet-faulty=" + std::to_string(args.fleet_faulty) +
-                         " exceeds --shards=" + std::to_string(args.shards));
+    cli.bad_arg("--fleet-faulty=" + std::to_string(args.fleet_faulty) +
+                " exceeds --shards=" + std::to_string(args.shards));
   }
   if (args.fleet_faulty > 0 && args.kill_shard >= 0) {
-    bad_arg(argv[0], "--fleet-faulty and --kill-shard are mutually exclusive");
+    cli.bad_arg("--fleet-faulty and --kill-shard are mutually exclusive");
   }
   if (args.heal_shard_after > 0.0 && args.kill_shard < 0) {
-    bad_arg(argv[0], "--heal-shard-after requires --kill-shard");
+    cli.bad_arg("--heal-shard-after requires --kill-shard");
   }
   if (args.heal_shard_after > 0.0 &&
       args.heal_shard_after <= args.kill_after) {
-    bad_arg(argv[0], "--heal-shard-after must be > --kill-after");
+    cli.bad_arg("--heal-shard-after must be > --kill-after");
   }
   if (args.hedge_compare && args.shards < 2) {
-    bad_arg(argv[0], "--hedge-compare needs --shards >= 2");
+    cli.bad_arg("--hedge-compare needs --shards >= 2");
   }
   if (args.hedge_compare && args.no_hedge) {
-    bad_arg(argv[0], "--hedge-compare and --no-hedge are contradictory");
+    cli.bad_arg("--hedge-compare and --no-hedge are contradictory");
   }
   if (args.replicas > args.shards && args.bench_out.empty()) {
-    bad_arg(argv[0], "--replicas=" + std::to_string(args.replicas) +
-                         " exceeds --shards=" + std::to_string(args.shards));
+    cli.bad_arg("--replicas=" + std::to_string(args.replicas) +
+                " exceeds --shards=" + std::to_string(args.shards));
   }
   if (!args.bench_replicas.empty() && args.bench_out.empty()) {
-    bad_arg(argv[0], "--bench-replicas requires --bench-out");
+    cli.bad_arg("--bench-replicas requires --bench-out");
   }
   return args;
 }
@@ -407,21 +310,7 @@ mocha::fault::FaultModel scenario_from_flags(
   using namespace mocha;
   fault::FaultModel faults;
   if (!args.faults_file.empty()) {
-    std::ifstream in(args.faults_file);
-    if (!in) {
-      std::cerr << "error: cannot read fault spec " << args.faults_file
-                << "\n";
-      std::exit(2);
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    try {
-      faults = fault::FaultModel::from_json(buffer.str());
-    } catch (const CheckFailure& e) {
-      std::cerr << "error: bad fault spec " << args.faults_file << ": "
-                << e.what() << "\n";
-      std::exit(2);
-    }
+    faults = cli::load_faults(args.faults_file);
   } else if (args.fault_kill > 0.0) {
     faults = fault::FaultModel::random_scenario(config, args.fault_kill,
                                                 args.fault_seed);
@@ -865,21 +754,7 @@ int run_bench(const Args& args, const mocha::nn::Network& net,
 int run(const Args& args) {
   using namespace mocha;
 
-  nn::Network net;
-  if (args.network == "alexnet") {
-    net = nn::make_alexnet();
-  } else if (args.network == "vgg16") {
-    net = nn::make_vgg16();
-  } else if (args.network == "lenet5") {
-    net = nn::make_lenet5();
-  } else if (args.network == "nin") {
-    net = nn::make_nin();
-  } else if (args.network == "mobilenet") {
-    net = nn::make_mobilenet_v1();
-  } else {
-    std::cerr << "unknown network: " << args.network << "\n";
-    return 2;
-  }
+  const nn::Network net = *cli::make_network(args.network);
 
   if (args.metrics) obs::MetricsRegistry::global().set_enabled(true);
   std::unique_ptr<obs::TraceSession> trace;

@@ -1,10 +1,5 @@
-// mocha_sim — command-line front end for the simulator.
-//
-//   mocha_sim [--network alexnet|vgg16|lenet5|nin|mobilenet] [--accelerator mocha|tiling|
-//             merge|parallel|nextbest] [--objective edp|cycles|energy]
-//             [--batch N] [--sram-kib N] [--pe N] [--clock-mhz N]
-//             [--no-compression] [--huffman] [--json] [--plan]
-//             [--trace FILE] [--metrics]
+// mocha_sim — command-line front end for the simulator (--help lists every
+// flag).
 //
 // Examples:
 //   mocha_sim --network alexnet                         # MOCHA, defaults
@@ -12,35 +7,52 @@
 //   mocha_sim --network alexnet --batch 8 --json        # machine-readable
 //   mocha_sim --network alexnet --trace trace.json      # chrome://tracing
 //   mocha_sim --network alexnet --fault-kill 0.25       # degraded fabric
+//   mocha_sim --network vgg16 --critpath-out cp.json    # critical paths
+//
+// Critical-path mode (--critpath-out, --emit-hints; MOCHA only) analyzes
+// every fusion group as run_with_plan executes it (obs/critpath.hpp).
+// --critpath-out writes a mocha.critpath.v1 report: critical chains, CPM
+// bounds, per-resource slack, the --top-k bottleneck layers and task kinds,
+// and each --what-if scenario (a default sweep without one) answered both
+// analytically, as a [predicted, upper_bound] band, and by an engine
+// replay. --emit-hints writes the mocha.hints.v1 per-layer criticality
+// file that --slack-hints feeds back into the planner.
+//
+// Exit codes: 0 ok, 1 scratchpad overflow (text mode), 2 bad arguments,
+// 3 internal invariant failure, 5 a what-if replay left its analytic band
+// (model and engine disagree; the documented tolerance admits no slack).
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include <fstream>
-
 #include "baseline/baselines.hpp"
+#include "cli.hpp"
 #include "core/accelerator.hpp"
 #include "core/morph.hpp"
 #include "core/report_json.hpp"
-#include "dataflow/schedule.hpp"
 #include "fault/model.hpp"
+#include "obs/critpath.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "obs/trace.hpp"
-#include "util/json_parse.hpp"
-#include "util/cpuid.hpp"
 #include "serve/signal.hpp"
 #include "sim/dot.hpp"
+#include "util/json.hpp"
+#include "util/json_parse.hpp"
 #include "util/table.hpp"
 
 namespace {
+
+using mocha::sim::Cycle;
 
 struct Args {
   std::string network = "alexnet";
@@ -63,111 +75,45 @@ struct Args {
   std::string faults_file;  // JSON fault scenario (fault/model.hpp)
   double fault_kill = 0.0;  // random scenario killing this fraction
   std::uint64_t fault_seed = 42;
+  std::string critpath_out;           // mocha.critpath.v1 report destination
+  std::string hints_file;             // mocha.hints.v1 destination
+  std::vector<mocha::obs::WhatIf> what_ifs;  // empty = the default sweep
+  int top_k = 5;                      // bottleneck list length
 };
-
-[[noreturn]] void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0
-      << " [--network alexnet|vgg16|lenet5|nin|mobilenet] [--accelerator "
-         "mocha|tiling|merge|parallel|nextbest]\n"
-         "       [--objective edp|cycles|energy] [--batch N] [--sram-kib N] "
-         "[--pe N] [--clock-mhz N]\n"
-         "       [--no-compression] [--huffman] [--json] [--plan] "
-         "[--dot FILE]\n"
-         "       [--trace FILE] [--trace-flows] [--metrics] "
-         "[--isa scalar|avx2|neon]\n"
-         "       [--critpath] [--slack-hints FILE]\n"
-         "       [--faults FILE] [--fault-kill FRAC] [--fault-seed N]\n";
-  std::exit(2);
-}
-
-/// Malformed command line: explain on stderr, then the usual usage + exit 2.
-[[noreturn]] void bad_arg(const char* argv0, const std::string& message) {
-  std::cerr << "error: " << message << "\n";
-  usage(argv0);
-}
-
-/// Strict integer: whole string must parse and land inside [lo, hi].
-/// stoll's exceptions (and its tolerance for trailing junk like "4x") must
-/// not leak out of argument parsing as aborts.
-std::int64_t parse_int(const char* argv0, const std::string& flag,
-                       const std::string& text, std::int64_t lo,
-                       std::int64_t hi) {
-  std::int64_t value = 0;
-  std::size_t used = 0;
-  try {
-    value = std::stoll(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != text.size() || text.empty()) {
-    bad_arg(argv0, flag + " expects an integer, got '" + text + "'");
-  }
-  if (value < lo || value > hi) {
-    bad_arg(argv0, flag + "=" + text + " outside [" + std::to_string(lo) +
-                       ", " + std::to_string(hi) + "]");
-  }
-  return value;
-}
-
-/// Strict finite double inside [lo, hi].
-double parse_double(const char* argv0, const std::string& flag,
-                    const std::string& text, double lo, double hi) {
-  double value = 0;
-  std::size_t used = 0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != text.size() || text.empty() || !std::isfinite(value)) {
-    bad_arg(argv0, flag + " expects a number, got '" + text + "'");
-  }
-  if (value < lo || value > hi) {
-    std::ostringstream os;
-    os << flag << "=" << text << " outside [" << lo << ", " << hi << "]";
-    bad_arg(argv0, os.str());
-  }
-  return value;
-}
 
 Args parse(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    // --key=value and "--key value" are both accepted.
-    bool have_inline = false;
-    std::string inline_value;
-    if (flag.rfind("--", 0) == 0) {
-      const std::size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        have_inline = true;
-        inline_value = flag.substr(eq + 1);
-        flag = flag.substr(0, eq);
-      }
-    }
-    bool took_value = false;
-    auto value = [&]() -> std::string {
-      took_value = true;
-      if (have_inline) return inline_value;
-      if (i + 1 >= argc) bad_arg(argv[0], flag + " expects a value");
-      return argv[++i];
-    };
+  mocha::cli::Parser cli(
+      argc, argv,
+      " [--network alexnet|vgg16|lenet5|nin|mobilenet] [--accelerator "
+      "mocha|tiling|merge|parallel|nextbest]\n"
+      "       [--objective edp|cycles|energy] [--batch N] [--sram-kib N] "
+      "[--pe N] [--clock-mhz N]\n"
+      "       [--no-compression] [--huffman] [--json] [--plan] "
+      "[--dot FILE]\n"
+      "       [--trace FILE] [--trace-flows] [--metrics] "
+      "[--isa scalar|avx2|neon]\n"
+      "       [--critpath] [--slack-hints FILE]\n"
+      "       [--critpath-out FILE] [--emit-hints FILE] [--top-k N]\n"
+      "       [--what-if unbounded|RES+N|RES*K|KIND/F]...\n"
+      "       [--faults FILE] [--fault-kill FRAC] [--fault-seed N]\n");
+  std::string report_only_flag;  // a flag that needs --critpath-out
+  while (cli.next()) {
+    const std::string& flag = cli.flag();
     if (flag == "--network") {
-      args.network = value();
+      args.network = cli.network();
     } else if (flag == "--accelerator") {
-      args.accelerator = value();
+      args.accelerator = cli.value();
     } else if (flag == "--objective") {
-      args.objective = value();
+      args.objective = cli.value();
     } else if (flag == "--batch") {
-      args.batch = parse_int(argv[0], flag, value(), 1, 1 << 20);
+      args.batch = cli.int_value(1, 1 << 20);
     } else if (flag == "--sram-kib") {
-      args.sram_kib = parse_int(argv[0], flag, value(), 1, 1 << 24);
+      args.sram_kib = cli.int_value(1, 1 << 24);
     } else if (flag == "--pe") {
-      args.pe =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 4096));
+      args.pe = static_cast<int>(cli.int_value(1, 4096));
     } else if (flag == "--clock-mhz") {
-      args.clock_mhz = parse_double(argv[0], flag, value(), 1e-3, 1e6);
+      args.clock_mhz = cli.double_value(1e-3, 1e6);
     } else if (flag == "--no-compression") {
       args.no_compression = true;
     } else if (flag == "--huffman") {
@@ -177,9 +123,9 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--plan") {
       args.show_plan = true;
     } else if (flag == "--dot") {
-      args.dot_file = value();
+      args.dot_file = cli.value();
     } else if (flag == "--trace") {
-      args.trace_file = value();
+      args.trace_file = cli.value();
     } else if (flag == "--metrics") {
       args.metrics = true;
     } else if (flag == "--critpath") {
@@ -187,65 +133,64 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--trace-flows") {
       args.trace_flows = true;
     } else if (flag == "--slack-hints") {
-      args.slack_hints_file = value();
-    } else if (flag == "--faults") {
-      args.faults_file = value();
-    } else if (flag == "--fault-kill") {
-      args.fault_kill = parse_double(argv[0], flag, value(), 0.0, 0.95);
-    } else if (flag == "--fault-seed") {
-      args.fault_seed = static_cast<std::uint64_t>(parse_int(
-          argv[0], flag, value(), 0, std::numeric_limits<std::int64_t>::max()));
-    } else if (flag == "--isa") {
-      // Kernel/codec dispatch override, same values as MOCHA_KERNEL_ISA.
-      // Parse errors are a CLI problem (exit 2); an unsupported-but-valid
-      // ISA is a host/build problem and stays the hard MOCHA_CHECK.
-      const std::string text = value();
-      mocha::util::KernelIsa isa;
-      if (!mocha::util::parse_isa(text, &isa)) {
-        bad_arg(argv[0], "--isa expects scalar|avx2|neon, got '" + text + "'");
+      args.slack_hints_file = cli.value();
+    } else if (flag == "--critpath-out") {
+      args.critpath_out = cli.value();
+    } else if (flag == "--emit-hints") {
+      args.hints_file = cli.value();
+    } else if (flag == "--what-if") {
+      // Parse now so a typo is a CLI error, not a mid-run abort after
+      // minutes of planning.
+      try {
+        args.what_ifs.push_back(mocha::obs::parse_what_if(cli.value()));
+      } catch (const mocha::CheckFailure& e) {
+        cli.bad_arg(e.what());
       }
-      mocha::util::force_isa(isa);
-    } else if (flag == "--help" || flag == "-h") {
-      usage(argv[0]);
+      report_only_flag = flag;
+    } else if (flag == "--top-k") {
+      args.top_k = static_cast<int>(cli.int_value(1, 100));
+      report_only_flag = flag;
+    } else if (flag == "--faults") {
+      args.faults_file = cli.value();
+    } else if (flag == "--fault-kill") {
+      args.fault_kill = cli.double_value(0.0, 0.95);
+    } else if (flag == "--fault-seed") {
+      args.fault_seed = static_cast<std::uint64_t>(
+          cli.int_value(0, std::numeric_limits<std::int64_t>::max()));
     } else {
-      bad_arg(argv[0], "unknown flag: " + flag);
-    }
-    if (have_inline && !took_value) {
-      bad_arg(argv[0], flag + " does not take a value");
+      cli.common_flag();
     }
   }
   if (!args.faults_file.empty() && args.fault_kill > 0.0) {
-    bad_arg(argv[0], "--faults and --fault-kill are mutually exclusive");
+    cli.bad_arg("--faults and --fault-kill are mutually exclusive");
   }
   if (args.trace_flows && args.trace_file.empty()) {
-    bad_arg(argv[0], "--trace-flows requires --trace");
+    cli.bad_arg("--trace-flows requires --trace");
   }
   if (!args.slack_hints_file.empty() && args.accelerator != "mocha") {
-    bad_arg(argv[0], "--slack-hints only applies to --accelerator mocha");
+    cli.bad_arg("--slack-hints only applies to --accelerator mocha");
+  }
+  if ((!args.critpath_out.empty() || !args.hints_file.empty()) &&
+      args.accelerator != "mocha") {
+    cli.bad_arg(
+        "--critpath-out and --emit-hints only apply to --accelerator mocha");
+  }
+  if (!report_only_flag.empty() && args.critpath_out.empty()) {
+    cli.bad_arg(report_only_flag + " requires --critpath-out");
   }
   return args;
 }
 
-}  // namespace
-
-namespace {
-
-/// Loads a mocha.hints.v1 document (written by `mocha_critpath --emit-hints`)
-/// into a per-layer criticality vector for MorphOptions. Any structural
-/// problem is a CLI-input error: explain on stderr, return false.
+/// Loads a mocha.hints.v1 document (written by `mocha_sim --emit-hints`)
+/// into a per-layer criticality vector for MorphOptions. An unreadable file
+/// ends the run like a bad flag (cli::read_file); any structural problem is
+/// also a CLI-input error: explain on stderr, return false.
 bool load_slack_hints(const std::string& path, const mocha::nn::Network& net,
                       std::vector<double>* out) {
   using mocha::util::JsonValue;
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "error: cannot read slack hints " << path << "\n";
-    return false;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
   JsonValue doc;
   try {
-    doc = mocha::util::parse_json(buffer.str());
+    doc = mocha::util::parse_json(mocha::cli::read_file(path, "slack hints"));
   } catch (const mocha::CheckFailure& e) {
     std::cerr << "error: bad slack hints " << path << ": " << e.what() << "\n";
     return false;
@@ -296,24 +241,345 @@ bool load_slack_hints(const std::string& path, const mocha::nn::Network& net,
   return true;
 }
 
+/// Layer index encoded in a builder task label ("comp.L3.0.1" -> 3); tasks
+/// without the marker (group barriers) attribute to the group head.
+std::size_t label_layer(const std::string& label, std::size_t fallback,
+                        std::size_t layer_count) {
+  const std::size_t pos = label.find(".L");
+  if (pos == std::string::npos) return fallback;
+  const char* begin = label.c_str() + pos + 2;
+  char* end = nullptr;
+  const long value = std::strtol(begin, &end, 10);
+  if (end == begin || value < 0 ||
+      static_cast<std::size_t>(value) >= layer_count) {
+    return fallback;
+  }
+  return static_cast<std::size_t>(value);
+}
+
+/// What critical-path mode keeps of one executed fusion group.
+struct CritGroup {
+  /// One step of the schedule-critical chain and the layer it counts for.
+  struct Step {
+    mocha::sim::TaskKind kind;
+    std::string label;
+    std::size_t layer;
+    Cycle start;
+    Cycle finish;
+  };
+
+  std::int64_t reconfig_cycles = 0;
+  mocha::obs::CritPathReport report;
+  std::vector<Step> steps;
+  std::vector<mocha::obs::WhatIfOutcome> outcomes;  // one per what-if
+};
+
+/// Critical-path mode's view of the run, filled group by group from
+/// run_with_plan's observer.
+struct CritPath {
+  std::vector<mocha::obs::WhatIf> what_ifs;  // empty without --critpath-out
+  std::vector<CritGroup> groups;
+  std::vector<Cycle> layer_critical;  // critical-chain cycles per layer
+
+  void add(const mocha::dataflow::BuiltSchedule& built,
+           const mocha::sim::RunResult& run,
+           const mocha::obs::CritPathReport& report, std::size_t first_layer,
+           std::int64_t reconfig_cycles) {
+    CritGroup group;
+    group.reconfig_cycles = reconfig_cycles;
+    group.report = report;
+    for (const mocha::obs::CritStep& step : report.path) {
+      const mocha::sim::Task& task = built.graph.task(step.task);
+      const std::size_t layer =
+          label_layer(task.label, first_layer, layer_critical.size());
+      layer_critical[layer] += task.finish - task.start;
+      group.steps.push_back(
+          {task.kind, task.label, layer, task.start, task.finish});
+    }
+    for (const mocha::obs::WhatIf& spec : what_ifs) {
+      group.outcomes.push_back(
+          mocha::obs::evaluate_what_if(built.graph, run, spec));
+    }
+    groups.push_back(std::move(group));
+  }
+};
+
+/// Indices with a nonzero `total`, stably sorted by `cycles` descending.
+std::vector<std::size_t> ranked(const std::vector<Cycle>& cycles,
+                                const std::vector<Cycle>& total) {
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < cycles.size(); ++i) {
+    if (total[i] > 0) order.push_back(i);
+  }
+  std::stable_sort(
+      order.begin(), order.end(),
+      [&](std::size_t a, std::size_t b) { return cycles[a] > cycles[b]; });
+  return order;
+}
+
+/// Writes the --critpath-out report (mocha.critpath.v1), summarized on
+/// stderr, and the --emit-hints file (mocha.hints.v1). Returns the exit
+/// status: 2 when a file cannot be written, 5 when a what-if replay
+/// escaped its analytic band, else 0.
+int write_critpath_outputs(const Args& args, const CritPath& crit,
+                           const mocha::nn::Network& net,
+                           const mocha::core::RunReport& run,
+                           const mocha::obs::RunManifest& manifest) {
+  using namespace mocha;
+  const std::vector<Cycle>& layer_critical = crit.layer_critical;
+  const auto top_k = static_cast<std::size_t>(args.top_k);
+  bool diverged = false;
+
+  if (!args.critpath_out.empty()) {
+    // Each what-if summed over groups: group makespans add up (groups run
+    // back to back) and the fixed per-group reconfig charge rides along —
+    // scaled exactly for a reconfig speedup scenario, unchanged otherwise.
+    std::vector<obs::WhatIfOutcome> totals;
+    for (std::size_t s = 0; s < crit.what_ifs.size(); ++s) {
+      const obs::WhatIf& spec = crit.what_ifs[s];
+      obs::WhatIfOutcome total;
+      total.name = spec.name;
+      total.applicable = false;
+      total.exact = total.within_bounds = true;
+      for (std::size_t g = 0; g < crit.groups.size(); ++g) {
+        const obs::WhatIfOutcome& o = crit.groups[g].outcomes[s];
+        const std::int64_t reconfig = crit.groups[g].reconfig_cycles;
+        const Cycle scaled =
+            spec.kind == obs::WhatIf::Kind::Speed &&
+                    spec.task_kind == sim::TaskKind::Reconfig && reconfig > 0
+                ? static_cast<Cycle>(std::ceil(static_cast<double>(reconfig) /
+                                               spec.speed_factor))
+                : static_cast<Cycle>(reconfig);
+        total.baseline += o.baseline + static_cast<Cycle>(reconfig);
+        total.predicted += o.predicted + scaled;
+        total.upper_bound += o.upper_bound + scaled;
+        total.replayed += o.replayed + scaled;
+        total.applicable = total.applicable || o.applicable ||
+                           scaled != static_cast<Cycle>(reconfig);
+        total.exact = total.exact && o.exact;
+        total.within_bounds = total.within_bounds && o.within_bounds;
+        if (!o.within_bounds) {
+          std::cerr << "mocha_sim: what-if '" << o.name << "' on group " << g
+                    << " (" << run.groups[g].label << "): replayed "
+                    << o.replayed << " outside analytic band [" << o.predicted
+                    << ", " << o.upper_bound << "]\n";
+          diverged = true;
+        }
+      }
+      totals.push_back(total);
+    }
+
+    std::int64_t total_reconfig = 0;
+    constexpr std::size_t kKinds =
+        static_cast<std::size_t>(sim::TaskKind::Barrier) + 1;
+    std::vector<Cycle> kind_critical(kKinds, 0);
+    std::vector<Cycle> kind_total(kKinds, 0);
+    for (const CritGroup& group : crit.groups) {
+      total_reconfig += group.reconfig_cycles;
+      for (const obs::CritKind& kind : group.report.kinds) {
+        kind_critical[static_cast<std::size_t>(kind.kind)] +=
+            kind.critical_cycles;
+        kind_total[static_cast<std::size_t>(kind.kind)] += kind.total_cycles;
+      }
+    }
+
+    util::JsonWriter json;
+    json.begin_object();
+    json.key("schema").value("mocha.critpath.v1");
+    json.key("manifest");
+    manifest.write_json(json);
+    json.key("total_cycles").value(run.total_cycles);
+    json.key("reconfig_cycles").value(total_reconfig);
+    json.key("groups").begin_array();
+    for (std::size_t g = 0; g < crit.groups.size(); ++g) {
+      const CritGroup& group = crit.groups[g];
+      const obs::CritPathReport& cp = group.report;
+      json.begin_object();
+      json.key("group").value(static_cast<std::int64_t>(g));
+      json.key("label").value(run.groups[g].label);
+      json.key("first_layer")
+          .value(static_cast<std::int64_t>(run.groups[g].first_layer));
+      json.key("last_layer")
+          .value(static_cast<std::int64_t>(run.groups[g].last_layer));
+      json.key("makespan").value(cp.makespan);
+      json.key("reconfig_cycles").value(group.reconfig_cycles);
+      json.key("dep_critical_cycles").value(cp.dep_critical_cycles);
+      json.key("contention_gap").value(cp.contention_gap);
+      json.key("queue_entered_cycles").value(cp.queue_entered_cycles);
+      json.key("path_complete").value(cp.path_complete);
+      json.key("path").begin_array();
+      for (std::size_t i = 0; i < cp.path.size(); ++i) {
+        const CritGroup::Step& step = group.steps[i];
+        json.begin_object();
+        json.key("task").value(cp.path[i].task);
+        json.key("entered_by")
+            .value(obs::crit_edge_name(cp.path[i].entered_by));
+        json.key("kind").value(sim::task_kind_name(step.kind));
+        json.key("label").value(step.label);
+        json.key("layer").value(static_cast<std::int64_t>(step.layer));
+        json.key("start").value(step.start);
+        json.key("finish").value(step.finish);
+        json.end_object();
+      }
+      json.end_array();
+      json.key("kinds").begin_array();
+      for (const obs::CritKind& kind : cp.kinds) {
+        json.begin_object();
+        json.key("kind").value(sim::task_kind_name(kind.kind));
+        json.key("critical_cycles").value(kind.critical_cycles);
+        json.key("total_cycles").value(kind.total_cycles);
+        json.end_object();
+      }
+      json.end_array();
+      json.key("resources").begin_array();
+      for (const obs::CritResource& res : cp.resources) {
+        json.begin_object();
+        json.key("name").value(res.name);
+        json.key("capacity").value(res.capacity);
+        json.key("busy_cycles").value(res.busy_cycles);
+        json.key("critical_cycles").value(res.critical_cycles);
+        json.key("queue_wait_cycles").value(res.queue_wait_cycles);
+        json.key("min_slack").value(res.min_slack);
+        json.key("mean_slack").value(res.mean_slack);
+        json.key("utilization").value(res.utilization);
+        json.key("bound_tasks").value(res.bound_tasks);
+        json.end_object();
+      }
+      json.end_array();
+      json.end_object();
+    }
+    json.end_array();
+
+    // Top-k bottleneck layers by critical-chain cycles, then task kinds.
+    Cycle critical_sum = 0;
+    for (Cycle c : layer_critical) critical_sum += c;
+    const std::vector<std::size_t> layers =
+        ranked(layer_critical, layer_critical);
+    json.key("bottleneck_layers").begin_array();
+    for (std::size_t r = 0; r < layers.size() && r < top_k; ++r) {
+      json.begin_object();
+      json.key("layer").value(static_cast<std::int64_t>(layers[r]));
+      json.key("name").value(net.layers[layers[r]].name);
+      json.key("critical_cycles").value(layer_critical[layers[r]]);
+      json.key("share").value(
+          critical_sum == 0 ? 0.0
+                            : static_cast<double>(layer_critical[layers[r]]) /
+                                  static_cast<double>(critical_sum));
+      json.end_object();
+    }
+    json.end_array();
+    const std::vector<std::size_t> kinds = ranked(kind_critical, kind_total);
+    json.key("bottleneck_kinds").begin_array();
+    for (std::size_t r = 0; r < kinds.size() && r < top_k; ++r) {
+      json.begin_object();
+      json.key("kind").value(
+          sim::task_kind_name(static_cast<sim::TaskKind>(kinds[r])));
+      json.key("critical_cycles").value(kind_critical[kinds[r]]);
+      json.key("total_cycles").value(kind_total[kinds[r]]);
+      json.end_object();
+    }
+    json.end_array();
+
+    json.key("what_if").begin_array();
+    for (std::size_t s = 0; s < totals.size(); ++s) {
+      const obs::WhatIfOutcome& total = totals[s];
+      const auto speedup = [&](Cycle cycles) {
+        return cycles == 0 ? 1.0
+                           : static_cast<double>(total.baseline) /
+                                 static_cast<double>(cycles);
+      };
+      json.begin_object();
+      json.key("name").value(total.name);
+      json.key("applicable").value(total.applicable);
+      json.key("exact").value(total.exact);
+      json.key("within_bounds").value(total.within_bounds);
+      json.key("baseline_cycles").value(total.baseline);
+      json.key("predicted_cycles").value(total.predicted);
+      json.key("upper_bound_cycles").value(total.upper_bound);
+      json.key("replayed_cycles").value(total.replayed);
+      json.key("predicted_speedup").value(speedup(total.predicted));
+      json.key("replayed_speedup").value(speedup(total.replayed));
+      json.key("groups").begin_array();
+      for (std::size_t g = 0; g < crit.groups.size(); ++g) {
+        const obs::WhatIfOutcome& o = crit.groups[g].outcomes[s];
+        json.begin_object();
+        json.key("group").value(static_cast<std::int64_t>(g));
+        json.key("applicable").value(o.applicable);
+        json.key("exact").value(o.exact);
+        json.key("within_bounds").value(o.within_bounds);
+        json.key("baseline").value(o.baseline);
+        json.key("predicted").value(o.predicted);
+        json.key("upper_bound").value(o.upper_bound);
+        json.key("replayed").value(o.replayed);
+        json.end_object();
+      }
+      json.end_array();
+      json.end_object();
+    }
+    json.end_array();
+    json.end_object();
+    if (!obs::write_file_atomic(args.critpath_out, json.str() + "\n")) {
+      std::cerr << "error: cannot write " << args.critpath_out << "\n";
+      return 2;
+    }
+
+    std::cerr << args.network << ": " << run.total_cycles << " cycles across "
+              << crit.groups.size() << " groups";
+    if (!layers.empty()) {
+      std::cerr << "; top bottleneck layer " << net.layers[layers[0]].name
+                << " (" << layer_critical[layers[0]] << " critical cycles)";
+    }
+    std::cerr << "\n";
+    for (const obs::WhatIfOutcome& total : totals) {
+      std::cerr << "  what-if " << total.name << ": predicted ["
+                << total.predicted << ", " << total.upper_bound
+                << "], replayed " << total.replayed
+                << (total.exact ? " (exact)" : "")
+                << (total.within_bounds ? "" : "  ** OUT OF BOUNDS **")
+                << "\n";
+    }
+    std::cerr << "wrote " << args.critpath_out << "\n";
+  }
+
+  if (!args.hints_file.empty()) {
+    // Per-layer criticality normalized to the most critical layer.
+    const Cycle max_critical =
+        *std::max_element(layer_critical.begin(), layer_critical.end());
+    util::JsonWriter hints;
+    hints.begin_object();
+    hints.key("schema").value("mocha.hints.v1");
+    hints.key("network").value(net.name);
+    hints.key("layers").begin_array();
+    for (std::size_t l = 0; l < net.layers.size(); ++l) {
+      hints.begin_object();
+      hints.key("layer").value(static_cast<std::int64_t>(l));
+      hints.key("name").value(net.layers[l].name);
+      hints.key("criticality")
+          .value(max_critical == 0 ? 0.0
+                                   : static_cast<double>(layer_critical[l]) /
+                                         static_cast<double>(max_critical));
+      hints.end_object();
+    }
+    hints.end_array();
+    hints.end_object();
+    if (!obs::write_file_atomic(args.hints_file, hints.str() + "\n")) {
+      std::cerr << "error: cannot write " << args.hints_file << "\n";
+      return 2;
+    }
+  }
+
+  if (diverged) {
+    std::cerr << "mocha_sim: analytic prediction and engine replay "
+                 "disagree (see above)\n";
+    return 5;
+  }
+  return 0;
+}
+
 int run(const Args& args) {
   using namespace mocha;
 
-  nn::Network net;
-  if (args.network == "alexnet") {
-    net = nn::make_alexnet();
-  } else if (args.network == "vgg16") {
-    net = nn::make_vgg16();
-  } else if (args.network == "lenet5") {
-    net = nn::make_lenet5();
-  } else if (args.network == "nin") {
-    net = nn::make_nin();
-  } else if (args.network == "mobilenet") {
-    net = nn::make_mobilenet_v1();
-  } else {
-    std::cerr << "unknown network: " << args.network << "\n";
-    return 2;
-  }
+  const nn::Network net = *cli::make_network(args.network);
 
   core::Objective objective = core::Objective::EnergyDelayProduct;
   if (args.objective == "cycles") {
@@ -328,25 +594,10 @@ int run(const Args& args) {
   // Fault spec, if any — parsed once; the random scenario is drawn per
   // config inside customize() so it matches whichever base geometry the
   // selected accelerator uses.
-  bool inject = !args.faults_file.empty() || args.fault_kill > 0.0;
-  fault::FaultModel file_faults;
-  if (!args.faults_file.empty()) {
-    std::ifstream in(args.faults_file);
-    if (!in) {
-      std::cerr << "error: cannot read fault spec " << args.faults_file
-                << "\n";
-      return 2;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    try {
-      file_faults = fault::FaultModel::from_json(buffer.str());
-    } catch (const CheckFailure& e) {
-      std::cerr << "error: bad fault spec " << args.faults_file << ": "
-                << e.what() << "\n";
-      return 2;
-    }
-  }
+  const bool inject = !args.faults_file.empty() || args.fault_kill > 0.0;
+  const fault::FaultModel file_faults =
+      args.faults_file.empty() ? fault::FaultModel{}
+                               : cli::load_faults(args.faults_file);
 
   std::string fault_summary;  // for the manifest; set by customize()
   auto customize = [&](fabric::FabricConfig config) {
@@ -392,6 +643,9 @@ int run(const Args& args) {
   // The config the selected accelerator actually ran with, for the manifest.
   fabric::FabricConfig used_config = customize(fabric::mocha_default_config());
 
+  const bool critpath_mode =
+      !args.critpath_out.empty() || !args.hints_file.empty();
+  CritPath crit;
   core::RunReport report;
   if (args.accelerator == "mocha") {
     core::MorphOptions options;
@@ -407,29 +661,49 @@ int run(const Args& args) {
         customize(fabric::mocha_default_config()), model::default_tech(),
         std::make_shared<core::MorphController>(model::default_tech(),
                                                 options));
-    report = acc.run(net, {}, args.batch);
-    used_config = acc.config();
-    if (args.show_plan || !args.dot_file.empty()) {
-      const auto stats = core::assumed_stats(net, nn::SparsityProfile{});
-      const auto plan = acc.plan(net, stats, args.batch);
-      if (args.show_plan) {
-        for (std::size_t i = 0; i < plan.layers.size(); ++i) {
-          std::cerr << net.layers[i].name << ": " << plan.layers[i].summary()
-                    << "\n";
-        }
-      }
-      if (!args.dot_file.empty()) {
-        // Export the first scheduled group's executed task graph.
-        const auto group = plan.fusion_groups().front();
-        dataflow::BuiltSchedule built = dataflow::build_group_schedule(
-            net, plan, group, acc.config(), stats, args.batch);
-        sim::Engine(built.layout.specs).run(built.graph);
-        std::ofstream out(args.dot_file);
-        out << sim::to_dot(built.graph, built.layout.specs);
-        std::cerr << "wrote " << args.dot_file << " ("
-                  << built.graph.size() << " tasks)\n";
+    // Plan once: the run, --plan, --dot and critical-path mode all read
+    // this plan, the last three through run_with_plan's group observer.
+    const auto stats = core::assumed_stats(net, nn::SparsityProfile{});
+    const dataflow::NetworkPlan plan = acc.plan(net, stats, args.batch);
+    if (args.show_plan) {
+      for (std::size_t i = 0; i < plan.layers.size(); ++i) {
+        std::cerr << net.layers[i].name << ": " << plan.layers[i].summary()
+                  << "\n";
       }
     }
+    crit.layer_critical.assign(net.layers.size(), 0);
+    crit.what_ifs = args.what_ifs;
+    if (!args.critpath_out.empty() && crit.what_ifs.empty()) {
+      // The canonical questions: contention-free headroom, one more DMA
+      // channel, doubled codec bandwidth, doubled compute parallelism, and
+      // a 2x faster config bus.
+      for (const char* spec : {"unbounded", "dram_channels+1", "codec_units*2",
+                               "pe_groups*2", "reconfig/2"}) {
+        crit.what_ifs.push_back(obs::parse_what_if(spec));
+      }
+    }
+    const auto groups = plan.fusion_groups();
+    core::Accelerator::GroupObserver observer;
+    if (critpath_mode || !args.dot_file.empty()) {
+      observer = [&](std::size_t gi, const dataflow::BuiltSchedule& built,
+                     const sim::RunResult& run,
+                     const obs::CritPathReport& critpath) {
+        if (gi == 0 && !args.dot_file.empty()) {
+          // Export the first scheduled group's executed task graph.
+          std::ofstream out(args.dot_file);
+          out << sim::to_dot(built.graph, built.layout.specs);
+          std::cerr << "wrote " << args.dot_file << " ("
+                    << built.graph.size() << " tasks)\n";
+        }
+        if (critpath_mode) {
+          const std::size_t first = groups[gi].first;
+          crit.add(built, run, critpath, first,
+                   core::group_reconfig_cycles(acc.config(), plan, first));
+        }
+      };
+    }
+    report = acc.run_with_plan(net, plan, stats, args.batch, observer);
+    used_config = acc.config();
   } else if (args.accelerator == "nextbest") {
     baseline::NextBest best =
         baseline::next_best(net, model::default_tech(), objective);
@@ -473,6 +747,12 @@ int run(const Args& args) {
   manifest.clock_ghz = used_config.clock_ghz;
   manifest.fault_scenario = fault_summary;
 
+  const int status =
+      critpath_mode
+          ? write_critpath_outputs(args, crit, net, report, manifest)
+          : 0;
+  if (status == 2) return status;
+
   obs::MetricsSnapshot snapshot;
   if (args.metrics) snapshot = obs::MetricsRegistry::global().snapshot();
 
@@ -481,7 +761,7 @@ int run(const Args& args) {
                                       args.metrics ? &snapshot : nullptr,
                                       args.critpath)
               << "\n";
-    return 0;
+    return status;
   }
 
   util::Table table({"group", "plan", "cycles", "GOPS", "uJ", "peak KiB"});
@@ -533,6 +813,7 @@ int run(const Args& args) {
   if (args.metrics) {
     std::cout << "\nmetrics: " << snapshot.to_json() << "\n";
   }
+  if (status != 0) return status;
   return report.sram_ok ? 0 : 1;
 }
 

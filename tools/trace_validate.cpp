@@ -4,7 +4,7 @@
 //
 // Exits 0 iff FILE parses as a trace document whose simulated-time lanes
 // (pid 1) hold monotone, non-overlapping complete events, and whose flow
-// events (ph "s"/"f", emitted by --trace-flows / mocha_critpath) pair up
+// events (ph "s"/"f", emitted by mocha_sim --trace-flows) pair up
 // by id with both endpoints anchored inside an existing complete event on
 // the same lane. With --critpath, additionally cross-checks a
 // mocha.critpath.v1 report against the trace: every executed task on a
