@@ -169,10 +169,10 @@ class ServeEngine {
   std::size_t transfer_to(ServeEngine& dst, std::size_t max);
 
   /// True when the primary plan for `model` under the *current* fault
-  /// scenario is warm in the plan cache. The shard router's readmission
-  /// probe uses this to prove a healed shard was rebuilt (plans re-searched
-  /// for the post-heal scenario) before it takes client traffic again.
-  /// Throws on unknown name.
+  /// scenario is warm in the plan cache. Tests use it to prove that the
+  /// shard router's readmission probe rebuilt a healed shard (plans
+  /// re-searched for the post-heal scenario) before it took client traffic
+  /// again. Throws on unknown name.
   bool has_plan(const std::string& model);
 
   /// Breaker observability for one model (throws on unknown name).

@@ -4,27 +4,40 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/sink.hpp"
 #include "obs/trace.hpp"
+#include "serve/routing.hpp"
 #include "util/assert.hpp"
 
 namespace mocha::serve {
 
+namespace {
+
+/// Routing slots the (tenant, model) key space hashes into.
+constexpr int kRoutingSlots = 64;
+/// Power-of-two-choices spill: route to the next live replica when the
+/// chosen one's queue is at least this much deeper.
+constexpr std::size_t kSpillMargin = 2;
+/// The hedge delay tracks this percentile of completed fleet latency, once
+/// at least kHedgeMinSamples completions exist.
+constexpr double kHedgePercentile = 99.0;
+constexpr std::uint64_t kHedgeMinSamples = 20;
+/// Canaries outrank client traffic so a saturated queue still yields a
+/// health signal (the shed itself is the signal when even this fails).
+constexpr int kCanaryPriority = 100;
+constexpr std::uint64_t kCanaryDeadlineMs = 200;
+
+}  // namespace
+
 ShardRouter::ShardRouter(RouterOptions options)
-    : options_(std::move(options)), ring_(options_.ring_vnodes) {
+    : options_(std::move(options)) {
   MOCHA_CHECK(options_.shards >= 1, "router needs >= 1 shard");
   MOCHA_CHECK(options_.maintenance_tick_ms >= 1,
               "maintenance_tick_ms must be >= 1");
-  MOCHA_CHECK(options_.hedge_percentile > 0 &&
-                  options_.hedge_percentile <= 100,
-              "hedge_percentile must be in (0, 100]");
   MOCHA_CHECK(options_.hedge_floor_ms <= options_.hedge_cap_ms,
               "hedge_floor_ms must be <= hedge_cap_ms");
   MOCHA_CHECK(options_.steal_max >= 1, "steal_max must be >= 1");
   MOCHA_CHECK(options_.default_replicas >= 1,
               "default_replicas must be >= 1");
-  MOCHA_CHECK(options_.routing_slots >= 1 && options_.routing_slots <= 65536,
-              "routing_slots must be in [1, 65536]");
   // A replica set can never be wider than the fleet.
   options_.default_replicas = std::min(options_.default_replicas,
                                        options_.shards);
@@ -38,15 +51,8 @@ ShardRouter::ShardRouter(RouterOptions options)
     shard->engine = std::make_unique<ServeEngine>(std::move(engine_options));
     shard->state_gauge = obs::lane_name("serve", scope, "state");
     shard->depth_gauge = obs::lane_name("serve", scope, "queue_depth");
-    ring_.add(i);
+    live_.push_back(i);
     shards_.push_back(std::move(shard));
-  }
-  {
-    // Epoch-0 snapshot: full fleet, no models yet. First in the log so a
-    // balancer tailing routing_out sees membership before any edit.
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    refresh_routing_locked();
-    export_routing_locked();
   }
   maintenance_ = std::thread([this] { maintenance_loop(); });
 }
@@ -71,10 +77,6 @@ void ShardRouter::register_model(const std::string& name,
   canaries_.emplace_back(name,
                          nn::ValueTensor(net.layers.front().input_shape()));
   models_.emplace_back(name, replicas);
-  // Same epoch — registration is not a ring edit — but the table contents
-  // changed, so the log gets a refreshed snapshot.
-  refresh_routing_locked();
-  export_routing_locked();
 }
 
 TicketPtr ShardRouter::submit(Request request) {
@@ -110,21 +112,24 @@ TicketPtr ShardRouter::submit(Request request) {
   }
 
   // Placement: the key's routing slot selects the model's ordered replica
-  // set. Unregistered models fall back to plain ring placement (the engine
-  // rejects them as unknown anyway — one shard's refusal is authoritative).
-  const std::string key = request.tenant + "|" + request.model;
+  // set over the live shards.
+  const int slot =
+      routing_slot(request.tenant + "|" + request.model, kRoutingSlots);
+  int replicas = 0;
   std::vector<int> candidates;
   {
     std::lock_guard<std::mutex> lock(ring_mu_);
-    const RoutingTable::Model* model = routing_.find_model(request.model);
-    if (model != nullptr) {
-      const int slot = routing_slot(key, routing_.slots);
-      candidates = model->slot_replicas[static_cast<std::size_t>(slot)];
-    } else {
-      const HashRing::Placement placement = ring_.place(key);
-      if (placement.primary >= 0) candidates.push_back(placement.primary);
+    for (const auto& [name, r] : models_) {
+      if (name == request.model) {
+        replicas = r;
+        break;
+      }
+    }
+    if (replicas > 0) {
+      candidates = rendezvous_replicas(request.model, slot, live_, replicas);
     }
   }
+  if (replicas == 0) return refuse("unknown model: " + request.model);
   if (candidates.empty()) return refuse("no live replicas for this key");
 
   // Best live replica: first Healthy in set order, else the first that is
@@ -153,7 +158,7 @@ TicketPtr ShardRouter::submit(Request request) {
         shards_[static_cast<std::size_t>(target)]->engine->queue_depth();
     const std::size_t other =
         shards_[static_cast<std::size_t>(alt)]->engine->queue_depth();
-    if (home >= other + std::max<std::size_t>(options_.spill_margin, 1)) {
+    if (home >= other + kSpillMargin) {
       target = alt;
       MOCHA_METRIC_ADD("serve.fleet.spills", 1);
     }
@@ -191,8 +196,8 @@ std::uint64_t ShardRouter::hedge_delay_ns() const {
   const std::uint64_t floor = options_.hedge_floor_ms * 1'000'000ull;
   const std::uint64_t cap = options_.hedge_cap_ms * 1'000'000ull;
   std::lock_guard<std::mutex> lock(hist_mu_);
-  if (latency_us_.count < options_.hedge_min_samples) return cap;
-  const double p_us = latency_us_.percentile(options_.hedge_percentile);
+  if (latency_us_.count < kHedgeMinSamples) return cap;
+  const double p_us = latency_us_.percentile(kHedgePercentile);
   const auto ns = static_cast<std::uint64_t>(std::max(0.0, p_us) * 1000.0);
   return std::min(cap, std::max(floor, ns));
 }
@@ -280,14 +285,13 @@ void ShardRouter::on_attempt(const RoutePtr& route, std::size_t attempt,
                              int shard, const Response& response) {
   std::vector<TicketPtr> to_cancel;
   bool resolve = false;
-  bool loser = false;
   bool failover = false;
   Response client_resp;
   {
     std::lock_guard<std::mutex> lock(route->mu);
     --route->outstanding;
     if (route->done) {
-      loser = true;  // another attempt already resolved the client
+      // Another attempt already resolved the client.
     } else if (response.outcome == Outcome::Completed) {
       route->done = true;
       route->hedge_due_ns = 0;
@@ -314,7 +318,10 @@ void ShardRouter::on_attempt(const RoutePtr& route, std::size_t attempt,
       }
       if (route->outstanding == 0) {
         const bool cancelled = route->client->token().cancel_requested();
-        if (!cancelled && accepting_.load(std::memory_order_acquire) &&
+        // A Rejected request (bad input shape) is refused by every replica
+        // alike, so walking the set would only repeat the refusal.
+        if (!cancelled && response.outcome != Outcome::Rejected &&
+            accepting_.load(std::memory_order_acquire) &&
             next_candidate_locked(*route, util::steady_now_ns()) >= 0) {
           // Promote the next replica immediately: deterministic failover
           // down the set instead of waiting out the hedge delay.
@@ -327,7 +334,7 @@ void ShardRouter::on_attempt(const RoutePtr& route, std::size_t attempt,
       }
     }
   }
-  record_attempt_health(shard, response, loser);
+  record_attempt_health(shard, response);
   for (const TicketPtr& t : to_cancel) t->cancel();
   if (resolve) resolve_client(route, std::move(client_resp));
   if (failover) issue_attempt(route, /*failover=*/true);
@@ -340,13 +347,15 @@ void ShardRouter::on_attempt(const RoutePtr& route, std::size_t attempt,
   if (finished) erase_route(route->id);
 }
 
-void ShardRouter::record_attempt_health(int shard, const Response& response,
-                                        bool loser) {
+void ShardRouter::record_attempt_health(int shard, const Response& response) {
   // Cancelled attempts carry no health signal: they are our own first-wins
-  // cancellation (the loser) or a client hang-up — neither is the shard's
-  // fault.
-  if (response.outcome == Outcome::Cancelled) return;
-  (void)loser;  // a completed loser is still a healthy signal
+  // cancellation (the loser) or a client hang-up. Rejected attempts carry
+  // none either: the request was invalid. Neither is the shard's fault. A
+  // completed loser is still a healthy signal.
+  if (response.outcome == Outcome::Cancelled ||
+      response.outcome == Outcome::Rejected) {
+    return;
+  }
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
   const std::uint64_t now = util::steady_now_ns();
   if (response.outcome == Outcome::Completed) {
@@ -440,82 +449,21 @@ void ShardRouter::tick(std::uint64_t now_ns) {
   }
   MOCHA_METRIC_GAUGE("serve.replicas",
                      static_cast<std::int64_t>(options_.default_replicas));
-  MOCHA_METRIC_GAUGE("serve.fleet.routing_epoch",
-                     static_cast<std::int64_t>(routing_epoch()));
   MOCHA_METRIC_GAUGE("serve.fleet.hedge_delay_us",
                      static_cast<std::int64_t>(hedge_delay_ns() / 1000));
 }
 
 void ShardRouter::update_ring(std::uint64_t now_ns) {
   std::lock_guard<std::mutex> lock(ring_mu_);
+  std::vector<int> live;
   for (int i = 0; i < options_.shards; ++i) {
     const bool in = shards_[static_cast<std::size_t>(i)]->health.in_ring(now_ns);
-    bool removed = false;
-    if (in && !ring_.contains(i)) {
-      ring_.add(i);
-      MOCHA_METRIC_ADD("serve.fleet.ring_readmits", 1);
-    } else if (!in && ring_.contains(i)) {
-      ring_.remove(i);
-      MOCHA_METRIC_ADD("serve.fleet.ring_removals", 1);
-      removed = true;
-    } else {
-      continue;
-    }
-    // One epoch bump and one exported snapshot per ring edit — the
-    // determinism contract an external balancer replays.
-    ++routing_.epoch;
-    routing_.edits.push_back({routing_.epoch, i, removed});
-    if (routing_.edits.size() > RoutingTable::kMaxEdits) {
-      routing_.edits.erase(routing_.edits.begin());
-    }
-    refresh_routing_locked();
-    export_routing_locked();
+    const bool was = std::binary_search(live_.begin(), live_.end(), i);
+    if (in && !was) MOCHA_METRIC_ADD("serve.fleet.ring_readmits", 1);
+    if (!in && was) MOCHA_METRIC_ADD("serve.fleet.ring_removals", 1);
+    if (in) live.push_back(i);
   }
-}
-
-void ShardRouter::refresh_routing_locked() {
-  routing_.slots = options_.routing_slots;
-  routing_.shards.clear();
-  for (int i = 0; i < options_.shards; ++i) {
-    routing_.shards.push_back({i, ring_.contains(i)});
-  }
-  const std::vector<int> members = ring_.members();
-  routing_.models.clear();
-  for (const auto& [name, replicas] : models_) {
-    RoutingTable::Model model;
-    model.name = name;
-    model.replicas = replicas;
-    model.slot_replicas.reserve(
-        static_cast<std::size_t>(options_.routing_slots));
-    for (int slot = 0; slot < options_.routing_slots; ++slot) {
-      model.slot_replicas.push_back(
-          rendezvous_replicas(name, slot, members, replicas));
-    }
-    routing_.models.push_back(std::move(model));
-  }
-}
-
-void ShardRouter::export_routing_locked() {
-  std::string text = routing_.to_json();
-  if (!options_.routing_out.empty()) {
-    obs::write_file_atomic(options_.routing_out, text + "\n");
-  }
-  routing_log_.push_back(std::move(text));
-}
-
-RoutingTable ShardRouter::routing_snapshot() const {
-  std::lock_guard<std::mutex> lock(ring_mu_);
-  return routing_;
-}
-
-std::vector<std::string> ShardRouter::routing_log() const {
-  std::lock_guard<std::mutex> lock(ring_mu_);
-  return routing_log_;
-}
-
-std::uint64_t ShardRouter::routing_epoch() const {
-  std::lock_guard<std::mutex> lock(ring_mu_);
-  return routing_.epoch;
+  live_ = std::move(live);
 }
 
 void ShardRouter::maybe_canary(int shard, std::uint64_t now_ns) {
@@ -547,8 +495,8 @@ void ShardRouter::maybe_canary(int shard, std::uint64_t now_ns) {
   auto send = [&](const std::pair<std::string, nn::ValueTensor>& canary) {
     Request request;
     request.model = canary.first;
-    request.priority = options_.canary_priority;
-    request.deadline_ns = now_ns + options_.canary_deadline_ms * 1'000'000ull;
+    request.priority = kCanaryPriority;
+    request.deadline_ns = now_ns + kCanaryDeadlineMs * 1'000'000ull;
     request.input = canary.second;
     TicketPtr ticket = sh.engine->submit(std::move(request));
     ticket->on_resolve([this, shard, probe](const Response& response) {
@@ -679,7 +627,6 @@ RouterStats ShardRouter::stats() const {
   out.canaries = canaries_issued_.load(std::memory_order_relaxed);
   out.probes = probes_.load(std::memory_order_relaxed);
   out.hedge_delay_ns = hedge_delay_ns();
-  out.routing_epoch = routing_epoch();
 
   const std::uint64_t now = util::steady_now_ns();
   out.shards.reserve(shards_.size());

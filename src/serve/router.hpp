@@ -7,17 +7,18 @@
 // fleet analogue of MOCHA's morphable-fabric story, where capacity degrades
 // in bounded pieces instead of all at once. On top it layers:
 //
-//  * placement — every (tenant, model) key hashes to one of a fixed number
-//    of routing slots, and each (model, slot) rendezvous-hashes to an
-//    ordered *replica set* of R live shards (serve/routing.hpp; R
-//    configurable per model, default RouterOptions::default_replicas). A
-//    request routes to the best live replica — first Healthy in set order,
-//    with a power-of-two-choices spill to the next live replica when the
-//    target's queue is markedly deeper;
+//  * placement — every (tenant, model) key hashes to one of 64 routing
+//    slots, and each (model, slot) rendezvous-hashes over the live shards
+//    to an ordered *replica set* of R shards (serve/routing.hpp; R
+//    configurable per model, default RouterOptions::default_replicas),
+//    computed per request. A request routes to the best live replica —
+//    first Healthy in set order, with a power-of-two-choices spill to the
+//    next live replica when the target's queue is markedly deeper. An
+//    unregistered model is refused by the router itself;
 //  * health — an active checker (periodic canary inferences per shard)
 //    feeds EWMA latency + error-rate into a per-shard state machine
-//    (serve/health.hpp): Degraded shards stay in the ring but lose spill
-//    traffic, Quarantined shards leave it. Readmission requires a *warm
+//    (serve/health.hpp): Degraded shards stay live but lose spill traffic,
+//    Quarantined shards leave the live set. Readmission requires a *warm
 //    rebuild*: the half-open probe runs one canary per registered model,
 //    forcing the shard's plan cache to re-search every model under the
 //    post-heal scenario, so a healed shard never serves cold;
@@ -28,18 +29,14 @@
 //  * failover — a failed attempt promotes the next live replica in set
 //    order immediately, walking deterministically down the set; when every
 //    replica is exhausted the request fails — replica count R, not luck,
-//    bounds the blast radius;
+//    bounds the blast radius. A Rejected attempt (the request itself is
+//    invalid) neither fails over nor counts against the shard's health;
 //  * stealing — when a shard's queue runs hot, its youngest lowest-priority
-//    work migrates to the coldest in-ring shard (ServeEngine::transfer_to);
-//  * routing export — the full placement table (slot -> replica set per
-//    model, per-shard serving state, a ring-edit epoch) is a
-//    serve::RoutingTable snapshot, re-exported atomically on every ring
-//    edit so an external balancer can mirror placement; the snapshot
-//    sequence is byte-deterministic for a fixed kill/heal schedule.
+//    work migrates to the coldest live shard (ServeEngine::transfer_to).
 //
-// All background work (hedge timers, cancel propagation, canaries, ring
-// maintenance, stealing, routing export) runs on one maintenance thread;
-// request execution stays on the shards' own workers.
+// All background work (hedge timers, cancel propagation, canaries,
+// live-set maintenance, stealing) runs on one maintenance thread; request
+// execution stays on the shards' own workers.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +49,6 @@
 #include "obs/metrics.hpp"
 #include "serve/engine.hpp"
 #include "serve/health.hpp"
-#include "serve/routing.hpp"
-#include "serve/shard.hpp"
 
 namespace mocha::serve {
 
@@ -64,37 +59,22 @@ struct RouterOptions {
   /// "shardK" so every shard gets its own metric lanes.
   ServeOptions engine;
   HealthOptions health;
-  int ring_vnodes = 64;
 
   /// Replica-set size for models registered without an explicit R, clamped
   /// to the fleet size (a 1-shard fleet serves R=1 regardless).
   int default_replicas = 2;
-  /// Routing slots the (tenant, model) key space is hashed into; the
-  /// exported table has one replica-set row per (model, slot).
-  int routing_slots = 64;
-  /// When non-empty, every routing-table snapshot is also written here
-  /// atomically (obs::write_file_atomic) — the `mocha_serve --routing-out`
-  /// export an external balancer tails.
-  std::string routing_out;
 
-  /// Power-of-two-choices spill: route to the next live replica when the
-  /// chosen one's queue is at least this much deeper. 0 = always pick the
-  /// shallower of the two.
-  std::size_t spill_margin = 2;
-
-  /// Tail-latency hedging. The delay tracks the measured p-th percentile of
-  /// fleet-level completed latency, clamped to [floor, cap]; until
-  /// `hedge_min_samples` completions exist the cap is used (hedge late, not
-  /// eagerly, while the estimate is noise). Failover on *failure* is always
-  /// on — disabling hedging only disables the duplicate-attempt timer.
+  /// Tail-latency hedging. The delay tracks the measured p99 of fleet-level
+  /// completed latency, clamped to [floor, cap]; until 20 completions exist
+  /// the cap is used (hedge late, not eagerly, while the estimate is
+  /// noise). Failover on *failure* is always on — disabling hedging only
+  /// disables the duplicate-attempt timer.
   bool hedge = true;
-  double hedge_percentile = 99.0;
   std::uint64_t hedge_floor_ms = 2;
   std::uint64_t hedge_cap_ms = 250;
-  std::uint64_t hedge_min_samples = 20;
 
   /// Work stealing: when the hottest queue reaches `steal_threshold`, up to
-  /// `steal_max` entries migrate to the coldest in-ring shard per tick.
+  /// `steal_max` entries migrate to the coldest live shard per tick.
   bool steal = true;
   std::size_t steal_threshold = 8;
   std::size_t steal_max = 2;
@@ -103,10 +83,6 @@ struct RouterOptions {
   /// fire per shard every `canary_period_ms` on top of it.
   std::uint64_t maintenance_tick_ms = 2;
   std::uint64_t canary_period_ms = 25;
-  std::uint64_t canary_deadline_ms = 200;
-  /// Canaries outrank client traffic so a saturated queue still yields a
-  /// health signal (the shed itself is the signal when even this fails).
-  int canary_priority = 100;
 };
 
 /// Per-shard observability snapshot.
@@ -145,8 +121,6 @@ struct RouterStats {
   std::int64_t probes = 0;
   /// Current derived hedge delay.
   std::uint64_t hedge_delay_ns = 0;
-  /// Ring-edit epoch of the current routing table.
-  std::uint64_t routing_epoch = 0;
 
   std::vector<ShardSnapshot> shards;
 
@@ -167,16 +141,16 @@ class ShardRouter {
   /// `replicas` (0 = RouterOptions::default_replicas; otherwise must be in
   /// [1, shards]). The first registered model also becomes the periodic
   /// canary workload; *every* registered model is probed during readmission
-  /// (warm rebuild). Re-exports the routing table (same epoch — model
-  /// registration is not a ring edit).
+  /// (warm rebuild).
   void register_model(const std::string& name, const nn::Network& net,
                       const std::vector<nn::ValueTensor>& weights,
                       const fabric::FabricConfig& config,
                       core::MorphOptions morph = {}, int replicas = 0);
 
   /// Fleet admission: places on the best live replica, may spill, may later
-  /// hedge or fail over down the replica set. Never blocks; always returns
-  /// a ticket that resolves exactly once.
+  /// hedge or fail over down the replica set. An unregistered model
+  /// resolves Rejected without reaching a shard. Never blocks; always
+  /// returns a ticket that resolves exactly once.
   TicketPtr submit(Request request);
 
   /// Stops the maintenance thread, then shuts every shard down (drain
@@ -196,15 +170,6 @@ class ShardRouter {
   ServeEngine& shard_engine(int shard);
   /// Current derived hedge delay (see RouterOptions::hedge_*).
   std::uint64_t hedge_delay_ns() const;
-
-  /// Current routing table (deep copy — safe to inspect without locks).
-  RoutingTable routing_snapshot() const;
-  /// Every snapshot exported so far, in order: construction, each model
-  /// registration, then one per ring edit. The byte sequence is
-  /// deterministic for a fixed kill/heal schedule.
-  std::vector<std::string> routing_log() const;
-  /// Ring-edit epoch of the current table.
-  std::uint64_t routing_epoch() const;
 
  private:
   struct Shard {
@@ -264,31 +229,24 @@ class ShardRouter {
   void issue_attempt(const RoutePtr& route, bool failover);
   void on_attempt(const RoutePtr& route, std::size_t attempt, int shard,
                   const Response& response);
-  void record_attempt_health(int shard, const Response& response,
-                             bool loser);
+  void record_attempt_health(int shard, const Response& response);
   /// Resolves the client ticket exactly once and books fleet stats.
   void resolve_client(const RoutePtr& route, Response&& response);
   void erase_route(std::uint64_t id);
   /// First unattempted in-ring candidate in set order; -1 when exhausted.
   /// Caller holds route->mu.
   int next_candidate_locked(const Route& route, std::uint64_t now_ns) const;
-  /// Recomputes the routing table from the current ring membership and
-  /// registered models. Caller holds ring_mu_.
-  void refresh_routing_locked();
-  /// Serializes the current table into the log (and routing_out, when
-  /// configured). Caller holds ring_mu_.
-  void export_routing_locked();
 
   RouterOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex ring_mu_;
-  HashRing ring_;
-  /// (model, replica count) in registration order; the routing table's
-  /// model list mirrors this.
+  /// In-ring (Healthy or Degraded) shard ids, ascending — the members every
+  /// replica set is rendezvous-hashed over. Refreshed once per maintenance
+  /// tick by update_ring.
+  std::vector<int> live_;
+  /// (model, replica count) in registration order.
   std::vector<std::pair<std::string, int>> models_;
-  RoutingTable routing_;
-  std::vector<std::string> routing_log_;
 
   mutable std::mutex routes_mu_;
   std::map<std::uint64_t, RoutePtr> routes_;

@@ -30,7 +30,6 @@
 #include "fault/model.hpp"
 #include "nn/generate.hpp"
 #include "serve/router.hpp"
-#include "serve/routing.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -207,30 +206,6 @@ int run() {
     check.expect(s.stats.in_flight == 0,
                  "shard in_flight nonzero after shutdown");
   }
-
-  // Routing-log sanity: every exported snapshot parses back, epochs never
-  // decrease and step by at most one, and the final snapshot agrees with
-  // the live epoch counter — the quarantine churn above is exactly the
-  // edit sequence an external balancer would have replayed.
-  const std::vector<std::string> routing_log = router.routing_log();
-  check.expect(routing_log.size() >= 2, "missing construction exports");
-  std::uint64_t last_epoch = 0;
-  for (std::size_t i = 0; i < routing_log.size(); ++i) {
-    serve::RoutingTable table;
-    try {
-      table = serve::RoutingTable::from_json(routing_log[i]);
-    } catch (const std::exception& e) {
-      check.expect(false, "routing snapshot " + std::to_string(i) +
-                              " failed to parse: " + e.what());
-      continue;
-    }
-    check.expect(table.epoch >= last_epoch, "routing epoch decreased");
-    check.expect(table.epoch <= last_epoch + 1,
-                 "routing epoch skipped a ring edit");
-    last_epoch = table.epoch;
-  }
-  check.expect(last_epoch == stats.routing_epoch,
-               "final snapshot epoch disagrees with the live counter");
 
   std::cout << "serve_fleet_soak: " << stats.submitted << " submitted, "
             << stats.completed << " completed, " << stats.shed << " shed, "

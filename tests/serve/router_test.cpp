@@ -1,8 +1,7 @@
-// Tests for consistent-hash placement (serve/shard.hpp) and the sharded
-// fleet router (serve/router.hpp): placement determinism and minimal
-// remapping, end-to-end fleet conservation, hedging, quarantine/readmit via
-// canary probes, and a randomized multi-shard stress with hedges and steals
-// active.
+// Tests for the sharded fleet router (serve/router.hpp): end-to-end fleet
+// conservation, refusal of unknown models and invalid requests without
+// charging any shard, hedging, quarantine/readmit via canary probes, and a
+// randomized multi-shard stress with hedges and steals active.
 #include "serve/router.hpp"
 
 #include <gtest/gtest.h>
@@ -15,77 +14,10 @@
 
 #include "fault/model.hpp"
 #include "nn/generate.hpp"
-#include "serve/shard.hpp"
 #include "util/rng.hpp"
 
 namespace mocha::serve {
 namespace {
-
-std::string key_of(int i) { return "tenant-" + std::to_string(i) + "|m"; }
-
-TEST(HashRing, PlacementIsDeterministic) {
-  HashRing a(64), b(64);
-  for (int s = 0; s < 4; ++s) {
-    a.add(s);
-    b.add(s);
-  }
-  for (int i = 0; i < 200; ++i) {
-    const auto pa = a.place(key_of(i));
-    const auto pb = b.place(key_of(i));
-    EXPECT_EQ(pa.primary, pb.primary);
-    EXPECT_EQ(pa.alternate, pb.alternate);
-    EXPECT_NE(pa.primary, pa.alternate);
-    EXPECT_GE(pa.primary, 0);
-    EXPECT_GE(pa.alternate, 0);
-  }
-}
-
-TEST(HashRing, EveryShardOwnsSomeKeys) {
-  HashRing ring(64);
-  for (int s = 0; s < 4; ++s) ring.add(s);
-  std::vector<int> hits(4, 0);
-  for (int i = 0; i < 400; ++i) {
-    ++hits[static_cast<std::size_t>(ring.place(key_of(i)).primary)];
-  }
-  for (int s = 0; s < 4; ++s) EXPECT_GT(hits[static_cast<std::size_t>(s)], 0);
-}
-
-TEST(HashRing, RemovalOnlyRemapsTheRemovedShardsKeys) {
-  HashRing ring(64);
-  for (int s = 0; s < 4; ++s) ring.add(s);
-  std::vector<int> before;
-  for (int i = 0; i < 400; ++i) before.push_back(ring.place(key_of(i)).primary);
-
-  ring.remove(2);
-  EXPECT_FALSE(ring.contains(2));
-  EXPECT_EQ(ring.size(), 3u);
-  for (int i = 0; i < 400; ++i) {
-    const int now = ring.place(key_of(i)).primary;
-    EXPECT_NE(now, 2);
-    if (before[static_cast<std::size_t>(i)] != 2) {
-      // Keys the removed shard did not own keep their cache-warm home.
-      EXPECT_EQ(now, before[static_cast<std::size_t>(i)]);
-    }
-  }
-
-  // Re-adding restores the original placement exactly (vnode points are a
-  // pure function of the shard index).
-  ring.add(2);
-  for (int i = 0; i < 400; ++i) {
-    EXPECT_EQ(ring.place(key_of(i)).primary,
-              before[static_cast<std::size_t>(i)]);
-  }
-}
-
-TEST(HashRing, SingleShardHasNoAlternate) {
-  HashRing ring(16);
-  ring.add(0);
-  const auto p = ring.place("anything");
-  EXPECT_EQ(p.primary, 0);
-  EXPECT_EQ(p.alternate, -1);
-  ring.remove(0);
-  EXPECT_EQ(ring.place("anything").primary, -1);
-}
 
 // ---------------------------------------------------------------------------
 // Fleet fixture: tiny conv model, fast morph options.
@@ -176,6 +108,54 @@ TEST_F(RouterFleet, SubmitAfterShutdownIsRejected) {
   const RouterStats stats = router.stats();
   EXPECT_EQ(stats.submitted, 1);
   EXPECT_EQ(stats.shed, 1);
+}
+
+// An unregistered model is refused by the router itself: the client sees
+// the engine's own "unknown model" rejection, but no shard is charged.
+TEST_F(RouterFleet, UnknownModelIsRejectedWithoutTouchingAShard) {
+  ShardRouter router(base_options(3));
+  register_tiny(router);
+  Request request = make_request(0);
+  request.model = "no-such-model";
+  TicketPtr ticket = router.submit(std::move(request));
+  const Response& response = ticket->wait();
+  EXPECT_EQ(response.outcome, Outcome::Rejected);
+  EXPECT_EQ(response.message, "unknown model: no-such-model");
+  router.shutdown(true);
+
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.submitted, 1);
+  EXPECT_EQ(stats.shed, 1);
+  // With one model registered, every canary is one shard submission, so
+  // canaries account for everything the shards were sent.
+  std::int64_t shard_submitted = 0;
+  for (const ShardSnapshot& s : stats.shards) {
+    shard_submitted += s.stats.submitted;
+  }
+  EXPECT_EQ(shard_submitted, stats.canaries);
+}
+
+// A request the engine refuses (here: a wrong input shape) is invalid on
+// every replica alike. It must resolve Rejected after one attempt, without
+// failing over and without counting against the shard's health.
+TEST_F(RouterFleet, InvalidRequestsLeaveShardsHealthy) {
+  RouterOptions o = base_options(2);
+  o.default_replicas = 2;
+  ShardRouter router(o);
+  register_tiny(router);
+  for (int i = 0; i < 6; ++i) {
+    Request request = make_request(i);
+    request.input = nn::ValueTensor(nn::Shape4{1, 3, 5, 5});
+    TicketPtr ticket = router.submit(std::move(request));
+    EXPECT_EQ(ticket->wait().outcome, Outcome::Rejected) << "request " << i;
+  }
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.failovers, 0);
+  for (const ShardSnapshot& s : stats.shards) {
+    EXPECT_EQ(s.error_rate, 0.0) << "shard " << s.shard;
+    EXPECT_EQ(s.state, HealthState::Healthy) << "shard " << s.shard;
+  }
+  router.shutdown(true);
 }
 
 TEST_F(RouterFleet, HedgingRescuesStalledShard) {

@@ -12,8 +12,7 @@
 #
 # Both runs share one seed and kill/heal schedule, so the only variable is
 # the replication factor. Invoked by the `serve_availability_gate` test as
-#   cmake -DSERVE=<mocha_serve> -DOUT_DIR=<dir> [-DISA=scalar]
-#         -P availability_gate.cmake
+#   cmake -DSERVE=<mocha_serve> [-DISA=scalar] -P availability_gate.cmake
 
 set(common
     --seed 42 --shards 3 --requests 200 --rate 400 --queue-cap 64
@@ -29,7 +28,6 @@ endif()
 # (4) all fail the test, not just the wrong availability verdict.
 function(expect_gate replicas want)
   execute_process(COMMAND ${SERVE} --replicas ${replicas} ${common}
-                          --routing-out ${OUT_DIR}/gate_routing_r${replicas}.json
                   RESULT_VARIABLE code
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err)
@@ -41,13 +39,5 @@ endfunction()
 
 expect_gate(2 0)   # replicated run must meet 0.999
 expect_gate(1 7)   # same run without replication must demonstrably violate
-
-# --routing-out must have landed a snapshot (the stall kill degrades the
-# shard without quarantining it, so this is the epoch-0 construction
-# export; parse-level checks live in the routing unit tests).
-file(READ ${OUT_DIR}/gate_routing_r2.json snapshot)
-if(NOT snapshot MATCHES "mocha\\.routing\\.v1")
-  message(FATAL_ERROR "R=2 routing snapshot missing schema tag:\n${snapshot}")
-endif()
 
 message(STATUS "availability gate: R=2 meets 0.999, R=1 trips exit 7")

@@ -89,11 +89,47 @@ class Parser {
     return argv_[++index_];
   }
 
+  /// Strict integer for the current flag: the whole value must parse and
+  /// land inside [lo, hi]. stoll's exceptions (and its tolerance for
+  /// trailing junk like "4x") must not leak out of argument parsing.
   std::int64_t int_value(std::int64_t lo, std::int64_t hi) {
-    return parse_int(value(), lo, hi);
+    const std::string text = value();
+    std::int64_t parsed = 0;
+    std::size_t used = 0;
+    try {
+      parsed = std::stoll(text, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    if (used != text.size() || text.empty()) {
+      bad_arg(flag_ + " expects an integer, got '" + text + "'");
+    }
+    if (parsed < lo || parsed > hi) {
+      bad_arg(flag_ + "=" + text + " outside [" + std::to_string(lo) + ", " +
+              std::to_string(hi) + "]");
+    }
+    return parsed;
   }
+
+  /// Strict finite double for the current flag, inside [lo, hi].
   double double_value(double lo, double hi) {
-    return parse_double(value(), lo, hi);
+    const std::string text = value();
+    double parsed = 0;
+    std::size_t used = 0;
+    try {
+      parsed = std::stod(text, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    if (used != text.size() || text.empty() || !std::isfinite(parsed)) {
+      bad_arg(flag_ + " expects a number, got '" + text + "'");
+    }
+    if (parsed < lo || parsed > hi) {
+      std::ostringstream os;
+      os << flag_ << "=" << text << " outside [" << lo << ", " << hi << "]";
+      bad_arg(os.str());
+    }
+    return parsed;
   }
 
   /// The value of --network, checked against make_network's names.
@@ -101,48 +137,6 @@ class Parser {
     std::string name = value();
     if (!make_network(name)) bad_arg("unknown network: " + name);
     return name;
-  }
-
-  /// Strict integer for the current flag: the whole string must parse and
-  /// land inside [lo, hi]. stoll's exceptions (and its tolerance for
-  /// trailing junk like "4x") must not leak out of argument parsing.
-  std::int64_t parse_int(const std::string& text, std::int64_t lo,
-                         std::int64_t hi) const {
-    std::int64_t value = 0;
-    std::size_t used = 0;
-    try {
-      value = std::stoll(text, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != text.size() || text.empty()) {
-      bad_arg(flag_ + " expects an integer, got '" + text + "'");
-    }
-    if (value < lo || value > hi) {
-      bad_arg(flag_ + "=" + text + " outside [" + std::to_string(lo) + ", " +
-              std::to_string(hi) + "]");
-    }
-    return value;
-  }
-
-  /// Strict finite double for the current flag, inside [lo, hi].
-  double parse_double(const std::string& text, double lo, double hi) const {
-    double value = 0;
-    std::size_t used = 0;
-    try {
-      value = std::stod(text, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != text.size() || text.empty() || !std::isfinite(value)) {
-      bad_arg(flag_ + " expects a number, got '" + text + "'");
-    }
-    if (value < lo || value > hi) {
-      std::ostringstream os;
-      os << flag_ << "=" << text << " outside [" << lo << ", " << hi << "]";
-      bad_arg(os.str());
-    }
-    return value;
   }
 
   /// The flags every tool shares, and the rejection of any other flag.

@@ -78,19 +78,11 @@ expect_rejected(${SERVE} "usage" --canary-period-ms 0)
 expect_rejected(${SERVE} "usage" --stall-ms 0)
 expect_rejected(${SERVE} "usage" --kill-after 1.5)       # fraction of the run
 expect_rejected(${SERVE} "usage" --no-hedge=yes)         # boolean takes no value
-expect_rejected(${SERVE} "usage" --bench-shards)         # missing value
-expect_rejected(${SERVE} "usage" --bench-shards 1,,2)    # empty item
-expect_rejected(${SERVE} "usage" --bench-shards 0)       # zero-shard point
-expect_rejected(${SERVE} "usage" --bench-shards 1,65)    # out-of-range point
 expect_rejected(${SERVE} "usage" --replicas)             # missing value
 expect_rejected(${SERVE} "usage" --replicas 0)           # empty replica set
 expect_rejected(${SERVE} "usage" --replicas 65)          # above range
 expect_rejected(${SERVE} "usage" --models 0)
-expect_rejected(${SERVE} "usage" --routing-out)          # missing value
 expect_rejected(${SERVE} "usage" --availability-min 1.5) # a fraction
-expect_rejected(${SERVE} "usage" --bench-replicas)       # missing value
-expect_rejected(${SERVE} "usage" --bench-replicas 1,,2)  # empty item
-expect_rejected(${SERVE} "usage" --bench-replicas 0)     # zero-replica point
 expect_rejected(${SERVE} "usage" --isa avx9)             # not an ISA name
 
 # --- mocha_serve: cross-flag validation ---
@@ -105,7 +97,6 @@ expect_rejected(${SERVE} "needs --shards" --hedge-compare)
 expect_rejected(${SERVE} "contradictory" --shards 2 --hedge-compare --no-hedge)
 expect_rejected(${SERVE} "mutually exclusive" --faults f.json --fault-kill 0.5)
 expect_rejected(${SERVE} "exceeds" --replicas 3 --shards 2)
-expect_rejected(${SERVE} "requires --bench-out" --bench-replicas 2)
 
 # --- fig_degradation (E15 harness) ---
 expect_rejected(${FIG} "usage" --bogus)

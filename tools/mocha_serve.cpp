@@ -19,9 +19,6 @@
 //   mocha_serve --shards 4 --fleet-faulty 1 --fault-kill 0.3
 //   mocha_serve --shards 2 --kill-shard 1 --stall-ms 80 --hedge-ms 10
 //               --hedge-compare
-//   mocha_serve --shards 3 --replicas 2 --routing-out routing.json
-//   mocha_serve --bench-out BENCH_serve.json --bench-shards 1,2,4
-//               --bench-replicas 1,2,3
 //
 // Exit codes: 0 ok, 1 SLO missed, 2 usage, 3 internal error,
 // 4 conservation violated, 6 hedge-compare showed no p99 improvement,
@@ -82,7 +79,6 @@ struct Args {
   // Multi-model mix: the network is registered under this many names and
   // requests cycle across them.
   int models = 1;
-  std::string routing_out;
   // Availability gate: completed/submitted below this fails with exit 7.
   // Negative = report only.
   double availability_min = -1.0;
@@ -108,24 +104,7 @@ struct Args {
   bool metrics = false;
   std::string out_file;
   std::string trace_file;
-  std::string bench_out;
-  std::vector<int> bench_shards = {1, 2, 4};
-  // Availability-vs-R sweep (same seed and kill/heal schedule per point);
-  // empty = off.
-  std::vector<int> bench_replicas;
 };
-
-std::vector<int> parse_shard_list(const mocha::cli::Parser& cli,
-                                  const std::string& text) {
-  std::vector<int> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    out.push_back(static_cast<int>(cli.parse_int(item, 1, 64)));
-  }
-  if (out.empty()) cli.bad_arg(cli.flag() + " expects a non-empty list");
-  return out;
-}
 
 Args parse(int argc, char** argv) {
   Args args;
@@ -141,17 +120,14 @@ Args parse(int argc, char** argv) {
       "[--breaker-cooldown-ms N] [--slo-ms N]\n"
       "       [--no-hedge] [--hedge-ms N] [--no-steal] "
       "[--canary-period-ms N] [--hedge-compare]\n"
-      "       [--replicas R] [--models N] [--routing-out FILE] "
-      "[--availability-min FRAC]\n"
+      "       [--replicas R] [--models N] [--availability-min FRAC]\n"
       "       [--faults FILE] [--fault-kill FRAC] [--codec-flip RATE] "
       "[--fault-seed N]\n"
       "       [--heal-after FRAC] [--kill-shard K] [--kill-after FRAC] "
       "[--heal-shard-after FRAC]\n"
       "       [--stall-ms N] [--fleet-faulty N] [--seed N] [--json] "
       "[--metrics] [--out FILE]\n"
-      "       [--trace FILE] [--bench-out FILE] [--bench-shards LIST] "
-      "[--bench-replicas LIST]\n"
-      "       [--isa scalar|avx2|neon]\n");
+      "       [--trace FILE] [--isa scalar|avx2|neon]\n");
   while (cli.next()) {
     const std::string& flag = cli.flag();
     if (flag == "--network") {
@@ -200,8 +176,6 @@ Args parse(int argc, char** argv) {
       args.replicas = static_cast<int>(cli.int_value(1, 64));
     } else if (flag == "--models") {
       args.models = static_cast<int>(cli.int_value(1, 64));
-    } else if (flag == "--routing-out") {
-      args.routing_out = cli.value();
     } else if (flag == "--availability-min") {
       args.availability_min = cli.double_value(0.0, 1.0);
     } else if (flag == "--faults") {
@@ -236,12 +210,6 @@ Args parse(int argc, char** argv) {
       args.out_file = cli.value();
     } else if (flag == "--trace") {
       args.trace_file = cli.value();
-    } else if (flag == "--bench-out") {
-      args.bench_out = cli.value();
-    } else if (flag == "--bench-shards") {
-      args.bench_shards = parse_shard_list(cli, cli.value());
-    } else if (flag == "--bench-replicas") {
-      args.bench_replicas = parse_shard_list(cli, cli.value());
     } else {
       cli.common_flag();
     }
@@ -273,12 +241,9 @@ Args parse(int argc, char** argv) {
   if (args.hedge_compare && args.no_hedge) {
     cli.bad_arg("--hedge-compare and --no-hedge are contradictory");
   }
-  if (args.replicas > args.shards && args.bench_out.empty()) {
+  if (args.replicas > args.shards) {
     cli.bad_arg("--replicas=" + std::to_string(args.replicas) +
                 " exceeds --shards=" + std::to_string(args.shards));
-  }
-  if (!args.bench_replicas.empty() && args.bench_out.empty()) {
-    cli.bad_arg("--bench-replicas requires --bench-out");
   }
   return args;
 }
@@ -320,14 +285,13 @@ mocha::fault::FaultModel scenario_from_flags(
 }
 
 /// Replays the trace once against a fresh fleet. Deterministic from
-/// args.seed: two calls with the same args and `shards` submit identical
-/// requests at identically drawn arrival gaps (the basis of
-/// --hedge-compare).
+/// args.seed: two calls with the same args submit identical requests at
+/// identically drawn arrival gaps (the basis of --hedge-compare).
 RunResult run_trace(const Args& args, const mocha::nn::Network& net,
-                    const mocha::fabric::FabricConfig& config, int shards,
-                    bool hedge) {
+                    const mocha::fabric::FabricConfig& config, bool hedge) {
   using namespace mocha;
 
+  const int shards = args.shards;
   serve::RouterOptions options;
   options.shards = shards;
   options.engine.workers = args.workers;
@@ -351,12 +315,7 @@ RunResult run_trace(const Args& args, const mocha::nn::Network& net,
   }
   options.steal = !args.no_steal;
   options.canary_period_ms = static_cast<std::uint64_t>(args.canary_period_ms);
-  if (args.replicas > 0) {
-    // Bench sweeps clamp rather than reject: a 2-shard point serves R=2
-    // even when the sweep asks for R=3.
-    options.default_replicas = std::min(args.replicas, shards);
-  }
-  options.routing_out = args.routing_out;
+  if (args.replicas > 0) options.default_replicas = args.replicas;
 
   serve::ShardRouter router(options);
   util::Rng rng(args.seed);
@@ -522,13 +481,12 @@ RunResult run_trace(const Args& args, const mocha::nn::Network& net,
   return out;
 }
 
-std::string fleet_json(const Args& args, int shards, const RunResult& r,
-                       bool slo_ok) {
+std::string fleet_json(const Args& args, const RunResult& r, bool slo_ok) {
   using namespace mocha;
   std::ostringstream json;
-  json << "{\n  \"schema\": \"mocha.serve.v3\",\n"
+  json << "{\n  \"schema\": \"mocha.serve.v4\",\n"
        << "  \"network\": \"" << args.network << "\",\n"
-       << "  \"shards\": " << shards << ",\n"
+       << "  \"shards\": " << args.shards << ",\n"
        << "  \"replicas\": " << r.replicas << ",\n"
        << "  \"models\": " << args.models << ",\n"
        << "  \"requests\": " << args.requests << ",\n"
@@ -566,7 +524,6 @@ std::string fleet_json(const Args& args, int shards, const RunResult& r,
        << "  \"slo_ms\": " << args.slo_ms << ",\n"
        << "  \"availability\": " << r.availability << ",\n"
        << "  \"availability_min\": " << args.availability_min << ",\n"
-       << "  \"routing_epoch\": " << r.stats.routing_epoch << ",\n"
        << "  \"conserved\": " << (r.conserved ? "true" : "false") << ",\n"
        << "  \"slo_ok\": " << (slo_ok ? "true" : "false") << ",\n"
        << "  \"shard_detail\": [";
@@ -591,11 +548,11 @@ std::string fleet_json(const Args& args, int shards, const RunResult& r,
   return json.str();
 }
 
-void print_report(const Args& args, int shards, const RunResult& r,
-                  bool slo_ok) {
+void print_report(const Args& args, const RunResult& r, bool slo_ok) {
   using namespace mocha;
   std::cout << "serve fleet report: " << args.network << " x" << args.models
-            << ", " << shards << " shard" << (shards == 1 ? "" : "s")
+            << ", " << args.shards << " shard"
+            << (args.shards == 1 ? "" : "s")
             << ", R=" << r.replicas << ", " << r.stats.submitted
             << " submitted"
             << (r.interrupted ? " (interrupted, drained)" : "") << "\n"
@@ -627,8 +584,7 @@ void print_report(const Args& args, int shards, const RunResult& r,
   std::cout << "  latency (completed): p50 " << r.p50 << " us, p90 "
             << r.p90 << " us, p99 " << r.p99 << " us; throughput "
             << r.throughput_rps << " rps\n"
-            << "  availability " << r.availability << ", routing epoch "
-            << r.stats.routing_epoch << "\n"
+            << "  availability " << r.availability << "\n"
             << "  conservation: " << (r.conserved ? "ok" : "VIOLATED")
             << "\n";
   if (args.slo_ms > 0) {
@@ -640,115 +596,6 @@ void print_report(const Args& args, int shards, const RunResult& r,
               << (r.availability >= args.availability_min ? "met" : "MISSED")
               << "\n";
   }
-}
-
-int run_bench(const Args& args, const mocha::nn::Network& net,
-              const mocha::fabric::FabricConfig& config) {
-  using namespace mocha;
-  struct Point {
-    int shards;
-    RunResult result;
-    bool slo_ok;
-  };
-  std::vector<Point> points;
-  bool all_conserved = true;
-  bool all_slo = true;
-  for (const int shards : args.bench_shards) {
-    Args per = args;
-    per.routing_out.clear();  // sub-runs would clobber each other's export
-    if (per.kill_shard >= shards) per.kill_shard = shards - 1;
-    std::cerr << "bench: " << shards << " shard(s)...\n";
-    RunResult r = run_trace(per, net, config, shards, !args.no_hedge);
-    const bool slo_ok =
-        args.slo_ms == 0 ||
-        r.p99 <= static_cast<std::uint64_t>(args.slo_ms) * 1000;
-    all_conserved = all_conserved && r.conserved;
-    all_slo = all_slo && slo_ok;
-    std::cout << "bench point: shards=" << shards << " p99=" << r.p99
-              << "us throughput=" << r.throughput_rps
-              << "rps conserved=" << (r.conserved ? "yes" : "NO") << "\n";
-    const bool interrupted = r.interrupted;
-    points.push_back({shards, std::move(r), slo_ok});
-    if (interrupted || serve::SignalDrain::requested()) break;
-  }
-
-  // Availability-vs-R trajectory: the same seed and kill/heal schedule at a
-  // fixed fleet size, sweeping the replica-set size — how much redundancy,
-  // not luck, closes the availability hole a killed shard opens.
-  struct AvailPoint {
-    int replicas;
-    RunResult result;
-  };
-  std::vector<AvailPoint> avail_points;
-  if (!args.bench_replicas.empty() && !serve::SignalDrain::requested()) {
-    const int shards = args.bench_shards.back();
-    for (const int replicas : args.bench_replicas) {
-      Args per = args;
-      per.routing_out.clear();
-      per.replicas = std::min(replicas, shards);
-      if (per.kill_shard >= shards) per.kill_shard = shards - 1;
-      std::cerr << "bench: availability at R=" << per.replicas << ", "
-                << shards << " shard(s)...\n";
-      RunResult r = run_trace(per, net, config, shards, !args.no_hedge);
-      all_conserved = all_conserved && r.conserved;
-      std::cout << "bench point: replicas=" << r.replicas
-                << " availability=" << r.availability
-                << " failed=" << r.stats.failed
-                << " conserved=" << (r.conserved ? "yes" : "NO") << "\n";
-      const bool interrupted = r.interrupted;
-      avail_points.push_back({per.replicas, std::move(r)});
-      if (interrupted || serve::SignalDrain::requested()) break;
-    }
-  }
-
-  std::ostringstream json;
-  json << "{\n  \"schema\": \"mocha.bench.serve.v1\",\n"
-       << "  \"network\": \"" << args.network << "\",\n"
-       << "  \"requests\": " << args.requests << ",\n"
-       << "  \"rate_rps\": " << args.rate << ",\n"
-       << "  \"slo_ms\": " << args.slo_ms << ",\n"
-       << "  \"hedge\": " << (args.no_hedge ? "false" : "true") << ",\n"
-       << "  \"points\": [";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    if (i > 0) json << ",";
-    json << "\n    {\"shards\": " << p.shards << ", \"p50_us\": "
-         << p.result.p50 << ", \"p99_us\": " << p.result.p99
-         << ", \"throughput_rps\": " << p.result.throughput_rps
-         << ", \"completed\": " << p.result.stats.completed
-         << ", \"shed\": " << p.result.stats.shed
-         << ", \"failed\": " << p.result.stats.failed
-         << ", \"hedge_wins\": " << p.result.stats.hedge_wins
-         << ", \"steals\": " << p.result.stats.steals
-         << ", \"quarantines\": " << p.result.quarantines
-         << ", \"conserved\": " << (p.result.conserved ? "true" : "false")
-         << ", \"slo_ok\": " << (p.slo_ok ? "true" : "false") << "}";
-  }
-  json << "\n  ],\n  \"availability_vs_replicas\": [";
-  for (std::size_t i = 0; i < avail_points.size(); ++i) {
-    const AvailPoint& p = avail_points[i];
-    if (i > 0) json << ",";
-    json << "\n    {\"replicas\": " << p.replicas
-         << ", \"shards\": " << args.bench_shards.back()
-         << ", \"availability\": " << p.result.availability
-         << ", \"completed\": " << p.result.stats.completed
-         << ", \"failed\": " << p.result.stats.failed
-         << ", \"failovers\": " << p.result.stats.failovers
-         << ", \"routing_epoch\": " << p.result.stats.routing_epoch
-         << ", \"conserved\": " << (p.result.conserved ? "true" : "false")
-         << "}";
-  }
-  json << "\n  ],\n  \"conserved\": " << (all_conserved ? "true" : "false")
-       << ",\n  \"slo_ok\": " << (all_slo ? "true" : "false") << "\n}";
-  if (!obs::write_file_atomic(args.bench_out, json.str() + "\n")) {
-    std::cerr << "error: cannot write " << args.bench_out << "\n";
-    return 3;
-  }
-  std::cout << "wrote " << args.bench_out << " (" << points.size()
-            << " shard points, " << avail_points.size()
-            << " replication points)\n";
-  if (!all_conserved) return 4;
-  return all_slo ? 0 : 1;
 }
 
 int run(const Args& args) {
@@ -767,13 +614,7 @@ int run(const Args& args) {
   // Ctrl-C / SIGTERM: stop admitting, drain what's queued, still report.
   serve::SignalDrain drain;
 
-  if (!args.bench_out.empty()) {
-    const int rc = run_bench(args, net, config);
-    if (trace) trace.reset();
-    return rc;
-  }
-
-  RunResult r = run_trace(args, net, config, args.shards, !args.no_hedge);
+  RunResult r = run_trace(args, net, config, !args.no_hedge);
   const bool slo_ok =
       args.slo_ms == 0 ||
       r.p99 <= static_cast<std::uint64_t>(args.slo_ms) * 1000;
@@ -784,9 +625,7 @@ int run(const Args& args) {
   std::uint64_t unhedged_p99 = 0;
   if (args.hedge_compare) {
     std::cerr << "hedge-compare: replaying with hedging disabled...\n";
-    Args base_args = args;
-    base_args.routing_out.clear();  // keep the hedged run's export
-    RunResult base = run_trace(base_args, net, config, args.shards, false);
+    RunResult base = run_trace(args, net, config, false);
     unhedged_p99 = base.p99;
     compare_ok = r.conserved && base.conserved && r.p99 < base.p99;
     std::cout << "hedge-compare: hedged p99 " << r.p99 << " us vs unhedged "
@@ -798,7 +637,7 @@ int run(const Args& args) {
     }
   }
 
-  std::string json = fleet_json(args, args.shards, r, slo_ok);
+  std::string json = fleet_json(args, r, slo_ok);
   if (args.hedge_compare) {
     // Splice the comparison into the report object.
     const std::string tail = "\n}";
@@ -820,7 +659,7 @@ int run(const Args& args) {
   if (args.json) {
     std::cout << json << "\n";
   } else {
-    print_report(args, args.shards, r, slo_ok);
+    print_report(args, r, slo_ok);
   }
   if (args.metrics) {
     std::cout << "\nmetrics: "
