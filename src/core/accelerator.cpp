@@ -96,10 +96,7 @@ RunReport Accelerator::run_with_plan(
            run.resource_busy_cycles[r],
            run.utilization(static_cast<sim::ResourceId>(r))});
     }
-    const obs::CritPathReport critpath =
-        obs::analyze_critical_path(built.graph, run);
-    gr.critpath = obs::summarize(critpath);
-    if (observer) observer(gi, built, run, critpath);
+    if (observer) observer(gi, built, run);
 
 #if MOCHA_OBS
     // Render this group's executed task graph on the simulated-time lanes;
@@ -115,7 +112,12 @@ RunReport Accelerator::run_with_plan(
                               static_cast<sim::Cycle>(reconfig));
       sim::TraceEmitOptions emit_options;
       emit_options.group = static_cast<std::int64_t>(gi);
-      emit_options.on_critical_path = &critpath.on_path;
+      // Only flow events read the critical chain (category "critical").
+      obs::CritPathReport critpath;
+      if (session->sim_flows_enabled()) {
+        critpath = obs::analyze_critical_path(built.graph, run);
+        emit_options.on_critical_path = &critpath.on_path;
+      }
       sim::emit_trace(built.graph, built.layout.specs, session, emit_options);
       session->set_sim_offset(session->sim_offset() + run.makespan);
     }

@@ -40,15 +40,16 @@ class Accelerator {
       nn::Index batch = 1) const;
 
   /// Called once per fusion group, in order, with the group's index, its
-  /// executed schedule, the detailed engine result and the critical-path
-  /// analysis run_with_plan already computed for the report.
-  using GroupObserver = std::function<void(
-      std::size_t group, const dataflow::BuiltSchedule& built,
-      const sim::RunResult& run, const obs::CritPathReport& critpath)>;
+  /// executed schedule and the detailed engine result.
+  using GroupObserver =
+      std::function<void(std::size_t group, const dataflow::BuiltSchedule& built,
+                         const sim::RunResult& run)>;
 
   /// Simulates a caller-supplied plan (ablations, replays of functional
   /// measurements). `observer`, when set, sees every group as it runs
-  /// (offline analyses, schedule export) without changing the report.
+  /// without changing the report: offline analyses such as the critical
+  /// path (obs/critpath.hpp), which run_with_plan itself computes only for
+  /// the flow events of a trace session, and schedule export.
   RunReport run_with_plan(
       const nn::Network& net, const dataflow::NetworkPlan& plan,
       const std::vector<dataflow::LayerStreamStats>& stats,

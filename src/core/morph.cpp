@@ -1,7 +1,6 @@
 #include "core/morph.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "dataflow/cost.hpp"
@@ -105,10 +104,6 @@ struct GroupCandidate {
   std::vector<LayerPlan> plans;
   CostEstimate est;
   double score = std::numeric_limits<double>::infinity();
-  /// Ranking key: equals `score` unless slack hints bias this group
-  /// toward cycles (MorphOptions::layer_criticality). Selection sorts by
-  /// rank; the DP and all reported numbers keep the unbiased score.
-  double rank = std::numeric_limits<double>::infinity();
   /// True for the injected plan-of-last-resort candidate.
   bool fallback = false;
 };
@@ -121,35 +116,8 @@ struct SearchContext {
   const MorphOptions& options;
   Index batch = 1;
 
-  std::int64_t sram_budget() const {
-    return static_cast<std::int64_t>(
-        static_cast<double>(config.sram_bytes) *
-        (1.0 - options.sram_fit_margin));
-  }
-
   bool compression_on() const {
     return options.allow_compression && config.has_compression;
-  }
-
-  /// Hint weight for a group: clamp(strength * max layer criticality, 0, 1).
-  /// 0 (no hints / uncritical group) leaves ranking == score.
-  double hint_weight(const NetworkPlan::Group& group) const {
-    if (options.layer_criticality.empty()) return 0.0;
-    double crit = 0.0;
-    for (std::size_t l = group.first;
-         l <= group.last && l < options.layer_criticality.size(); ++l) {
-      crit = std::max(crit, options.layer_criticality[l]);
-    }
-    return std::min(1.0, std::max(0.0, options.hint_strength * crit));
-  }
-
-  /// Geometric blend between the objective score and pure cycles: the
-  /// ranking key for a group with hint weight `w`. Both inputs are already
-  /// positive (cycle/energy scores of buildable plans).
-  static double blend_rank(double score, double cycles, double w) {
-    if (w <= 0.0) return score;
-    return std::pow(std::max(score, 1e-300), 1.0 - w) *
-           std::pow(std::max(cycles, 1.0), w);
   }
 
   std::vector<std::pair<int, int>> parallelism() const {
@@ -177,8 +145,6 @@ struct SearchContext {
     candidate.est = est;
     candidate.score = objective_score(options.objective, est.cycles,
                                       est.energy_pj);
-    candidate.rank =
-        blend_rank(candidate.score, est.cycles, hint_weight(group));
     // Compactness tiebreak: among near-equal plans prefer the smaller
     // working set — compressed residency then directly lowers the storage
     // requirement, and a small footprint leaves headroom for cascading.
@@ -186,16 +152,14 @@ struct SearchContext {
         1.0 + 0.40 * static_cast<double>(est.footprint_bytes) /
                   static_cast<double>(config.sram_bytes);
     candidate.score *= tiebreak;
-    candidate.rank *= tiebreak;
     // A non-fitting plan is only kept as a last resort; the penalty grows
     // with the overflow so the least-overflowing candidate wins when
     // literally nothing fits.
-    if (est.footprint_bytes > sram_budget()) {
+    if (est.footprint_bytes > config.sram_bytes) {
       const double penalty =
           1e6 * static_cast<double>(est.footprint_bytes) /
-          static_cast<double>(std::max<std::int64_t>(1, sram_budget()));
+          static_cast<double>(std::max<std::int64_t>(1, config.sram_bytes));
       candidate.score *= penalty;
-      candidate.rank *= penalty;
     }
     return candidate;
   }
@@ -232,7 +196,6 @@ struct SearchContext {
 void keep_best(std::vector<GroupCandidate>* candidates, std::size_t k) {
   std::sort(candidates->begin(), candidates->end(),
             [](const GroupCandidate& a, const GroupCandidate& b) {
-              if (a.rank != b.rank) return a.rank < b.rank;
               return a.score < b.score;
             });
   if (candidates->size() > k) {
@@ -321,15 +284,9 @@ std::vector<GroupCandidate> enumerate_single(const SearchContext& ctx,
           orders.push_back({LoopOrder::WeightStationary, layer.in_c, 0});
         } else {
           orders.push_back({LoopOrder::WeightStationary, layer.in_c, 0});
-          // FC layers get the input-stationary order regardless of the
-          // order-search flag: their fan-in makes weight residency
-          // impossible, and every real fixed-function accelerator streams
-          // FC weights — denying that would strawman the baselines.
-          if (ctx.options.allow_order_search || fc) {
-            for (Index tc : tc_options) {
-              for (Index bt : bt_options) {
-                orders.push_back({LoopOrder::InputStationary, tc, bt});
-              }
+          for (Index tc : tc_options) {
+            for (Index bt : bt_options) {
+              orders.push_back({LoopOrder::InputStationary, tc, bt});
             }
           }
         }
@@ -458,8 +415,7 @@ GroupCandidate refine_exact(const SearchContext& ctx,
   MOCHA_CHECK(!candidates.empty(), "no candidates to refine");
 
   const model::EnergyModel energy_model(ctx.tech, ctx.config);
-  const double hint_w = ctx.hint_weight(group);
-  std::vector<double> ranks(candidates.size());
+  std::vector<double> scores(candidates.size());
   std::vector<GroupTrace::Finalist> finalists(candidates.size());
   util::parallel_for(
       0, static_cast<std::int64_t>(candidates.size()), 1,
@@ -475,22 +431,20 @@ GroupCandidate refine_exact(const SearchContext& ctx,
           const sim::Engine engine(built.layout.specs);
           const sim::RunResult run = engine.run(built.graph);
           const double energy_pj = energy_model.energy(run.totals).total_pj();
-          const double score = objective_score(ctx.options.objective,
-                                               static_cast<double>(run.makespan),
-                                               energy_pj);
-          // Measured selection key: same slack-hint blend and compactness
-          // tiebreak as the analytical ranking.
-          double rank = SearchContext::blend_rank(
-              score, static_cast<double>(run.makespan), hint_w);
-          rank *= 1.0 + 0.40 * static_cast<double>(run.peak_sram_bytes) /
-                            static_cast<double>(ctx.config.sram_bytes);
-          if (run.peak_sram_bytes > ctx.config.sram_bytes) rank *= 1e6;
+          // Measured selection key: same compactness tiebreak as the
+          // analytical ranking.
+          double score = objective_score(ctx.options.objective,
+                                         static_cast<double>(run.makespan),
+                                         energy_pj);
+          score *= 1.0 + 0.40 * static_cast<double>(run.peak_sram_bytes) /
+                             static_cast<double>(ctx.config.sram_bytes);
+          if (run.peak_sram_bytes > ctx.config.sram_bytes) score *= 1e6;
           // Record the measured quantities so downstream consumers see
           // reality.
           candidate.est.cycles = static_cast<double>(run.makespan);
           candidate.est.energy_pj = energy_pj;
           candidate.est.footprint_bytes = run.peak_sram_bytes;
-          ranks[ci] = rank;
+          scores[ci] = score;
           finalists[ci].plan_summary = candidate.plans.front().summary();
           finalists[ci].cycles = candidate.est.cycles;
           finalists[ci].energy_pj = energy_pj;
@@ -499,10 +453,10 @@ GroupCandidate refine_exact(const SearchContext& ctx,
       });
 
   std::size_t best_index = 0;
-  double best_rank = std::numeric_limits<double>::infinity();
+  double best_score = std::numeric_limits<double>::infinity();
   for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-    if (ranks[ci] < best_rank) {
-      best_rank = ranks[ci];
+    if (scores[ci] < best_score) {
+      best_score = scores[ci];
       best_index = ci;
     }
   }
@@ -569,15 +523,6 @@ PlanResult MorphController::plan_result(
   net.validate();
   config.validate();
   MOCHA_CHECK(batch >= 1, "batch=" << batch);
-  MOCHA_CHECK(options_.layer_criticality.empty() ||
-                  options_.layer_criticality.size() == net.layers.size(),
-              "layer_criticality has " << options_.layer_criticality.size()
-                                       << " entries for "
-                                       << net.layers.size() << " layers");
-  for (double crit : options_.layer_criticality) {
-    MOCHA_CHECK(std::isfinite(crit) && crit >= 0.0 && crit <= 1.0,
-                "layer_criticality value " << crit << " outside [0, 1]");
-  }
   PlanResult result;
   const SearchContext ctx{net, config, stats, tech_, options_, batch};
   const std::size_t n = net.layers.size();
@@ -630,7 +575,6 @@ PlanResult MorphController::plan_result(
         // worst-case score so the DP can still place it.
         fallback.plans = plans;
         fallback.score = 1e30;
-        fallback.rank = 1e30;
         result.diagnostics.push_back(
             {i, i, std::string("fallback cost estimate failed: ") + e.what()});
       }
@@ -692,9 +636,6 @@ PlanResult MorphController::plan_result(
       result.diagnostics.push_back(
           {i, i + len - 1,
            std::string("exact refinement failed: ") + e.what()});
-    }
-    if (ctx.hint_weight(group) > 0.0) {
-      MOCHA_METRIC_ADD("planner.hinted_groups", 1);
     }
     if (winner.fallback) {
       result.fallback_used = true;

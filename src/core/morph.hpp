@@ -26,6 +26,9 @@
 
 namespace mocha::core {
 
+/// What the search may use. Every search also tries both loop orders (weight-
+/// and input-stationary) and holds analytical footprints to the whole
+/// scratchpad (FabricConfig::sram_bytes).
 struct MorphOptions {
   Objective objective = Objective::EnergyDelayProduct;
 
@@ -44,9 +47,6 @@ struct MorphOptions {
   /// which measures exactly this switch).
   bool allow_huffman = false;
 
-  /// Loop orders considered.
-  bool allow_order_search = true;
-
   /// (inter, intra) PE-group splits considered. Empty = {(1,1)}.
   std::vector<std::pair<int, int>> parallelism_options = {
       {1, 1}, {2, 1}, {1, 2}, {2, 2}, {4, 1}, {1, 4}, {4, 2}, {2, 4}};
@@ -54,33 +54,10 @@ struct MorphOptions {
   /// Analytical candidates forwarded to exact simulation, per group.
   int exact_top_k = 3;
 
-  /// Keep this fraction of the scratchpad free as working margin when
-  /// checking analytical footprints (the builder's bound is conservative
-  /// already; the margin covers estimate error).
-  double sram_fit_margin = 0.0;
-
   /// Skip the search entirely and put every layer on
   /// minimal_fallback_plan(). An emergency escape hatch (and the test hook
   /// that proves the fallback executes end to end on every network).
   bool force_fallback = false;
-
-  /// Per-layer criticality hints in [0, 1] from trace-driven critical-path
-  /// analysis (obs/critpath.hpp; produced by `mocha_sim --emit-hints`,
-  /// consumed via `mocha_sim --slack-hints`). Empty = unbiased search.
-  /// When set, the size must equal the network's layer count.
-  ///
-  /// A group's hint weight w = clamp(hint_strength * max criticality over
-  /// its layers, 0, 1) interpolates the candidate-ranking key from the
-  /// configured objective (w=0) to pure cycles (w=1): critical-path layers
-  /// gate the whole-network makespan, so trading their energy score for
-  /// cycles is how the planner acts on measured slack. Only the *ranking*
-  /// is biased — fusion-DP segmentation costs and reported scores stay on
-  /// the unbiased objective.
-  std::vector<double> layer_criticality;
-
-  /// Gain applied to the criticality hints (see above). 1.0 means a fully
-  /// critical layer ranks purely by cycles; 0 disables the bias.
-  double hint_strength = 1.0;
 };
 
 /// The plan of last resort for one layer: smallest reasonable tile, weight-

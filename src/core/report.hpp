@@ -7,7 +7,6 @@
 
 #include "model/energy.hpp"
 #include "nn/network.hpp"
-#include "obs/critpath.hpp"
 #include "obs/metrics.hpp"
 #include "sim/task.hpp"
 
@@ -48,13 +47,6 @@ struct GroupReport {
   std::vector<ResourceUse> resource_use;
   obs::HistogramData queue_wait_cycles;
   std::uint64_t task_count = 0;
-
-  /// Critical-path digest of this group's engine run: dependence-only
-  /// critical path vs makespan, contention gap, and which task kind the
-  /// bottleneck chain spends its cycles on. Always computed on committed
-  /// runs (one linear pass over the executed graph); emitted in JSON only
-  /// on request (report_to_json include_critpath).
-  obs::CritPathSummary critpath;
 
   /// Operational intensity: MACs per DRAM byte moved (the roofline x-axis).
   double macs_per_dram_byte() const {

@@ -1,8 +1,5 @@
 #include "core/report_json.hpp"
 
-#include <algorithm>
-#include <vector>
-
 #include "util/json.hpp"
 
 namespace mocha::core {
@@ -46,39 +43,11 @@ void emit_sim_metrics(util::JsonWriter& json, const GroupReport& group) {
   json.end_object();
 }
 
-void emit_critpath(util::JsonWriter& json, const obs::CritPathSummary& cp) {
-  json.begin_object();
-  json.key("makespan").value(static_cast<std::uint64_t>(cp.makespan));
-  json.key("dep_critical_cycles")
-      .value(static_cast<std::uint64_t>(cp.dep_critical_cycles));
-  json.key("contention_gap")
-      .value(static_cast<std::uint64_t>(cp.contention_gap));
-  json.key("queue_entered_cycles")
-      .value(static_cast<std::uint64_t>(cp.queue_entered_cycles));
-  json.key("path_tasks").value(cp.path_tasks);
-  json.key("dominant_kind").value(cp.dominant_kind);
-  json.key("dominant_kind_cycles")
-      .value(static_cast<std::uint64_t>(cp.dominant_kind_cycles));
-  json.key("kinds").begin_array();
-  for (const obs::CritKind& kind : cp.kinds) {
-    json.begin_object();
-    json.key("kind").value(sim::task_kind_name(kind.kind));
-    json.key("critical_cycles")
-        .value(static_cast<std::uint64_t>(kind.critical_cycles));
-    json.key("total_cycles")
-        .value(static_cast<std::uint64_t>(kind.total_cycles));
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-}
-
 }  // namespace
 
 std::string report_to_json(const RunReport& report,
                            const obs::RunManifest* manifest,
-                           const obs::MetricsSnapshot* metrics,
-                           bool include_critpath) {
+                           const obs::MetricsSnapshot* metrics) {
   util::JsonWriter json;
   json.begin_object();
   json.key("accelerator").value(report.accelerator);
@@ -120,42 +89,9 @@ std::string report_to_json(const RunReport& report,
     emit_energy(json, group.energy);
     json.key("sim_metrics");
     emit_sim_metrics(json, group);
-    if (include_critpath) {
-      json.key("critpath");
-      emit_critpath(json, group.critpath);
-    }
     json.end_object();
   }
   json.end_array();
-
-  if (include_critpath) {
-    // Groups ranked by cycle share: the top entries are where the next
-    // performance PR should look first.
-    std::vector<std::size_t> order(report.groups.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return report.groups[a].cycles > report.groups[b].cycles;
-                     });
-    json.key("critpath_bottlenecks").begin_array();
-    for (std::size_t rank = 0; rank < order.size() && rank < 5; ++rank) {
-      const GroupReport& group = report.groups[order[rank]];
-      json.begin_object();
-      json.key("group").value(static_cast<std::int64_t>(order[rank]));
-      json.key("group_label").value(group.label);
-      json.key("cycles").value(static_cast<std::uint64_t>(group.cycles));
-      json.key("share").value(
-          report.total_cycles == 0
-              ? 0.0
-              : static_cast<double>(group.cycles) /
-                    static_cast<double>(report.total_cycles));
-      json.key("dominant_kind").value(group.critpath.dominant_kind);
-      json.key("contention_gap")
-          .value(static_cast<std::uint64_t>(group.critpath.contention_gap));
-      json.end_object();
-    }
-    json.end_array();
-  }
 
   if (metrics != nullptr) {
     json.key("metrics");

@@ -17,15 +17,8 @@ namespace mocha::core {
 /// are embedded as top-level "manifest" / "metrics" blocks when given.
 /// Every pre-existing key is emitted unchanged, so consumers of the old
 /// schema keep working.
-///
-/// `include_critpath` (mocha_sim --critpath) adds a "critpath" block per
-/// group (dependence critical path vs makespan, contention gap, dominant
-/// task kind) and a top-level "critpath_bottlenecks" array ranking the
-/// groups by cycles. Off by default so the default document shape — and
-/// goldens derived from it — stay unchanged.
 std::string report_to_json(const RunReport& report,
                            const obs::RunManifest* manifest = nullptr,
-                           const obs::MetricsSnapshot* metrics = nullptr,
-                           bool include_critpath = false);
+                           const obs::MetricsSnapshot* metrics = nullptr);
 
 }  // namespace mocha::core

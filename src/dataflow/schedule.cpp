@@ -292,7 +292,6 @@ class GroupBuilder {
     TaskId prev_prev_w_bar = sim::kInvalidTask;
     TaskId prev_w_bar = sim::kInvalidTask;
 
-    Index m0 = 0;
     for (std::size_t mi = 0; mi < m_passes.size(); ++mi) {
       const Index tm_eff = m_passes[mi];
       const std::int64_t w_coded =
@@ -330,7 +329,7 @@ class GroupBuilder {
 
         const auto chunk_ids = emit_tile_computes(
             idx, geo, tm_eff, mpp, if_coded, w_coded, w_raw, if_elems,
-            {if_load}, /*accumulate=*/false, label("comp", idx, mi, ti));
+            {if_load}, label("comp", idx, mi, ti));
 
         const TaskId tile_bar =
             add_barrier(label("tile_bar", idx, mi, ti), chunk_ids, if_coded);
@@ -345,9 +344,7 @@ class GroupBuilder {
                                           std::move(pass_barrier_deps), w_coded);
       prev_prev_w_bar = prev_w_bar;
       prev_w_bar = pass_bar;
-      m0 += tm_eff;
     }
-    (void)m0;
     footprint_ = 2 * max_w_coded + 3 * max_tile_bytes + store_buffer_bound_;
   }
 
@@ -437,7 +434,7 @@ class GroupBuilder {
                 idx, geo, tm_eff, tc_eff * kk,
                 if_coded / static_cast<Index>(c_passes.size()), w_coded,
                 w_raw, if_elems / static_cast<Index>(c_passes.size()), deps,
-                /*accumulate=*/false, label("comp", idx, tile_seq, mi, ci),
+                label("comp", idx, tile_seq, mi, ci),
                 acc_rw, /*pos_scale=*/bb);
             const TaskId w_bar = add_barrier(
                 label("w_bar", idx, tile_seq, mi, ci), chunks, w_coded);
@@ -521,8 +518,7 @@ class GroupBuilder {
 
         const auto chunks = emit_tile_computes(
             idx, geo, tm_eff, kk, if_coded, w_coded, w_raw,
-            if_elems, {if_load}, /*accumulate=*/false,
-            label("comp", idx, ci, ti));
+            if_elems, {if_load}, label("comp", idx, ci, ti));
 
         std::vector<TaskId> bar_deps = chunks;
         emit_store_path(idx, tm_eff * geo.out_positions(), chunks, out_bytes,
@@ -656,10 +652,9 @@ class GroupBuilder {
   std::vector<TaskId> emit_tile_computes(
       std::size_t idx, const TileGeometry& geo, Index tm_eff, Index mpp,
       std::int64_t if_stream_bytes, std::int64_t w_coded, std::int64_t w_raw,
-      Index if_raw_elems, const std::vector<TaskId>& deps, bool accumulate,
+      Index if_raw_elems, const std::vector<TaskId>& deps,
       const std::string& base_label, std::int64_t extra_sram_rw = 0,
       Index pos_scale = 1) {
-    (void)accumulate;
     const LayerPlan& plan = plan_.layers[idx];
     const auto map_parts = partition(tm_eff, plan.inter_groups);
     const auto pos_parts =

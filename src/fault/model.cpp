@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -42,18 +43,32 @@ std::vector<int> sample_ids(util::Rng& rng, int total, int count) {
   return ids;
 }
 
+double json_number(const util::JsonValue& value, const std::string& what) {
+  MOCHA_CHECK(value.kind == util::JsonValue::Kind::Number,
+              what << " must be a number");
+  return value.number;
+}
+
+/// A JSON number that is an integer representable as T: in
+/// [min(T), 2^digits(T)), so the conversion below is always defined.
+template <typename T>
+T json_integer(const util::JsonValue& value, const std::string& what) {
+  const double num = json_number(value, what);
+  MOCHA_CHECK(num == std::floor(num), what << " " << num
+                                           << " not an integer");
+  MOCHA_CHECK(num >= static_cast<double>(std::numeric_limits<T>::min()) &&
+                  num < std::ldexp(1.0, std::numeric_limits<T>::digits),
+              what << " " << num << " out of range");
+  return static_cast<T>(num);
+}
+
 std::vector<int> json_int_array(const util::JsonValue& value,
                                 const char* what) {
   MOCHA_CHECK(value.is_array(), what << " must be a JSON array");
   std::vector<int> out;
   out.reserve(value.array.size());
   for (const util::JsonValue& item : value.array) {
-    MOCHA_CHECK(item.kind == util::JsonValue::Kind::Number,
-                what << " entries must be numbers");
-    const double num = item.number;
-    MOCHA_CHECK(num == std::floor(num), what << " entry " << num
-                                             << " not an integer");
-    out.push_back(static_cast<int>(num));
+    out.push_back(json_integer<int>(item, std::string(what) + " entry"));
   }
   return out;
 }
@@ -129,16 +144,16 @@ FaultModel FaultModel::from_json(std::string_view text) {
     } else if (key == "dead_sram_banks") {
       model.dead_sram_banks = json_int_array(value, "dead_sram_banks");
     } else if (key == "dead_codec_units") {
-      model.dead_codec_units = static_cast<int>(value.number);
+      model.dead_codec_units = json_integer<int>(value, "dead_codec_units");
     } else if (key == "dram_bandwidth_factor") {
-      model.dram_bandwidth_factor = value.number;
+      model.dram_bandwidth_factor =
+          json_number(value, "dram_bandwidth_factor");
     } else if (key == "codec_bit_flip_rate") {
-      model.codec_bit_flip_rate = value.number;
+      model.codec_bit_flip_rate = json_number(value, "codec_bit_flip_rate");
     } else if (key == "exec_stall_ms") {
-      model.exec_stall_ms = static_cast<std::int64_t>(value.number);
+      model.exec_stall_ms = json_integer<std::int64_t>(value, "exec_stall_ms");
     } else if (key == "seed") {
-      MOCHA_CHECK(value.number >= 0, "negative seed");
-      model.seed = static_cast<std::uint64_t>(value.number);
+      model.seed = json_integer<std::uint64_t>(value, "seed");
     } else {
       MOCHA_CHECK(false, "unknown fault spec key '" << key << "'");
     }

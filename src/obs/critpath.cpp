@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <map>
 #include <unordered_map>
 
 #include "util/assert.hpp"
@@ -281,23 +280,24 @@ CritPathReport analyze_critical_path(const sim::TaskGraph& graph,
   }
   report.path_complete = reached_start && chain_cycles == report.makespan;
 
-  // Per-kind attribution.
-  std::map<TaskKind, Cycle> critical_by_kind;
+  // Per-kind attribution: every kind present in the graph, listed even when
+  // its tasks take no cycles.
+  std::vector<CritKind> by_kind(std::size(kAllKinds));
+  std::vector<char> present(std::size(kAllKinds), 0);
+  for (const Task& t : graph.tasks()) {
+    const auto k = static_cast<std::size_t>(t.kind);
+    by_kind[k].total_cycles += t.duration;
+    present[k] = 1;
+  }
   for (const CritStep& step : report.path) {
     const Task& t = graph.task(step.task);
-    critical_by_kind[t.kind] += t.duration;
+    by_kind[static_cast<std::size_t>(t.kind)].critical_cycles += t.duration;
   }
   for (TaskKind kind : kAllKinds) {
-    const auto crit = critical_by_kind.find(kind);
-    const auto total = run.kind_cycles.find(kind);
-    if (crit == critical_by_kind.end() && total == run.kind_cycles.end()) {
-      continue;
-    }
-    CritKind entry;
-    entry.kind = kind;
-    entry.critical_cycles = crit == critical_by_kind.end() ? 0 : crit->second;
-    entry.total_cycles = total == run.kind_cycles.end() ? 0 : total->second;
-    report.kinds.push_back(entry);
+    const auto k = static_cast<std::size_t>(kind);
+    if (present[k] == 0) continue;
+    by_kind[k].kind = kind;
+    report.kinds.push_back(by_kind[k]);
   }
   std::sort(report.kinds.begin(), report.kinds.end(),
             [](const CritKind& a, const CritKind& b) {
@@ -339,21 +339,6 @@ CritPathReport analyze_critical_path(const sim::TaskGraph& graph,
     }
   }
   return report;
-}
-
-CritPathSummary summarize(const CritPathReport& report) {
-  CritPathSummary summary;
-  summary.makespan = report.makespan;
-  summary.dep_critical_cycles = report.dep_critical_cycles;
-  summary.contention_gap = report.contention_gap;
-  summary.queue_entered_cycles = report.queue_entered_cycles;
-  summary.path_tasks = report.path.size();
-  summary.kinds = report.kinds;
-  if (!report.kinds.empty() && report.kinds.front().critical_cycles > 0) {
-    summary.dominant_kind = sim::task_kind_name(report.kinds.front().kind);
-    summary.dominant_kind_cycles = report.kinds.front().critical_cycles;
-  }
-  return summary;
 }
 
 WhatIf what_if_unbounded() {

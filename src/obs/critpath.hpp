@@ -29,6 +29,11 @@
 // outside the analytic bounds means the model and the engine disagree;
 // callers (mocha_sim --critpath-out) treat that as a hard error.
 //
+// The analysis runs only on request: for mocha_sim --critpath-out, and for
+// the critical-flow categories of a --trace-flows trace
+// (core::Accelerator::run_with_plan). Planning and plain simulation never
+// pay for it.
+//
 // This header lives in src/obs but depends on sim types, so critpath.cpp
 // is compiled into the mocha_sim library (same precedent as sim/trace.cpp
 // depending on obs/trace.hpp in the other direction).
@@ -97,7 +102,8 @@ struct CritPathReport {
   /// Schedule-critical chain in start order (first element starts at 0).
   std::vector<CritStep> path;
 
-  /// Per-kind cycles, sorted by critical_cycles descending.
+  /// Per-kind cycles, sorted by critical_cycles descending. Every kind with
+  /// a task in the graph is listed, even when all its tasks take 0 cycles.
   std::vector<CritKind> kinds;
 
   /// Index-aligned with the engine's resource specs.
@@ -113,20 +119,6 @@ struct CritPathReport {
 /// the same graph (any `detailed` setting — unit lanes are not needed).
 CritPathReport analyze_critical_path(const sim::TaskGraph& graph,
                                      const sim::RunResult& run);
-
-/// Compact per-group digest embedded in core reports (core::GroupReport).
-struct CritPathSummary {
-  sim::Cycle makespan = 0;
-  sim::Cycle dep_critical_cycles = 0;
-  sim::Cycle contention_gap = 0;
-  sim::Cycle queue_entered_cycles = 0;
-  std::uint64_t path_tasks = 0;
-  std::string dominant_kind;  // kind with the most critical-chain cycles
-  sim::Cycle dominant_kind_cycles = 0;
-  std::vector<CritKind> kinds;
-};
-
-CritPathSummary summarize(const CritPathReport& report);
 
 /// One what-if scenario: a resource-capacity change, a task-kind speedup
 /// (models e.g. a faster config bus for reconfig tasks), or fully

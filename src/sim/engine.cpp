@@ -132,7 +132,6 @@ RunResult Engine::run(TaskGraph& graph, bool detailed) const {
     MOCHA_CHECK(sram_now >= 0,
                 "scratchpad balance negative after task '" << t.label << "'");
     result.totals += t.actions;
-    result.kind_cycles[t.kind] += t.duration;
     ++completed;
     for (TaskId next : dependents[static_cast<std::size_t>(id)]) {
       if (--waiting[static_cast<std::size_t>(next)] == 0) ready.insert(next);

@@ -7,7 +7,6 @@
 // codec work serializes on codec engines, compute on PE groups.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -34,9 +33,6 @@ struct RunResult {
   /// Sum of busy unit-cycles per resource (index-aligned with the specs).
   std::vector<Cycle> resource_busy_cycles;
   std::vector<ResourceSpec> resources;
-
-  /// Total task-cycles per kind (overlap not deducted).
-  std::map<TaskKind, Cycle> kind_cycles;
 
   /// Tasks executed.
   std::uint64_t task_count = 0;

@@ -182,67 +182,6 @@ TEST(Morph, DeterministicPlanning) {
   }
 }
 
-TEST(Morph, SlackHintsValidated) {
-  const nn::Network net = nn::make_lenet5();
-  const auto config = fabric::mocha_default_config();
-  const auto stats = stats_for(net);
-
-  MorphOptions wrong_size;
-  wrong_size.layer_criticality.assign(net.layers.size() + 1, 0.5);
-  EXPECT_THROW(make_controller(wrong_size).plan(net, config, stats),
-               CheckFailure);
-
-  MorphOptions out_of_range;
-  out_of_range.layer_criticality.assign(net.layers.size(), 0.5);
-  out_of_range.layer_criticality[0] = 1.5;
-  EXPECT_THROW(make_controller(out_of_range).plan(net, config, stats),
-               CheckFailure);
-}
-
-TEST(Morph, ZeroSlackHintsLeavePlanUnchanged) {
-  // Criticality 0 everywhere means "no group is on the critical path":
-  // the ranking bias must vanish and the plan must match the unhinted one
-  // exactly.
-  const nn::Network net = nn::make_lenet5();
-  const auto config = fabric::mocha_default_config();
-  const auto stats = stats_for(net);
-  MorphOptions hinted;
-  hinted.layer_criticality.assign(net.layers.size(), 0.0);
-  const NetworkPlan a = make_controller().plan(net, config, stats);
-  const NetworkPlan b = make_controller(hinted).plan(net, config, stats);
-  ASSERT_EQ(a.layers.size(), b.layers.size());
-  for (std::size_t i = 0; i < a.layers.size(); ++i) {
-    EXPECT_EQ(a.layers[i].summary(), b.layers[i].summary());
-  }
-}
-
-TEST(Morph, SlackHintsBiasTowardCycles) {
-  // Full criticality at full strength ranks every candidate purely by
-  // cycles, so the hinted EDP plan must not be materially slower than the
-  // unhinted one (same 10% tolerance as ObjectiveChangesSelection — the
-  // DP composes groups by unbiased score, so exact dominance is not
-  // guaranteed).
-  const nn::Network net = nn::make_alexnet();
-  const auto config = fabric::mocha_default_config();
-  const auto stats = stats_for(net);
-  MorphOptions hinted;
-  hinted.layer_criticality.assign(net.layers.size(), 1.0);
-  hinted.hint_strength = 1.0;
-  const NetworkPlan base = make_controller().plan(net, config, stats);
-  const NetworkPlan biased = make_controller(hinted).plan(net, config, stats);
-
-  auto total_cycles = [&](const NetworkPlan& plan) {
-    double sum = 0;
-    for (const auto& group : plan.fusion_groups()) {
-      sum += dataflow::estimate_group_cost(net, plan, group, config, stats,
-                                           model::default_tech())
-                 .cycles;
-    }
-    return sum;
-  };
-  EXPECT_LE(total_cycles(biased), total_cycles(base) * 1.10);
-}
-
 TEST(Morph, AssumedStatsCoverAllLayers) {
   const nn::Network net = nn::make_alexnet();
   const auto stats = assumed_stats(net, nn::SparsityProfile{});

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "fabric/pe_array.hpp"
 #include "sim/resources.hpp"
@@ -86,6 +88,43 @@ TEST(FaultModel, FromJsonRejectsGarbage) {
                CheckFailure);
   EXPECT_THROW(FaultModel::from_json(R"({"dead_pes": [1.5]})"), CheckFailure);
   EXPECT_THROW(FaultModel::from_json(R"({"dead_pes": 3})"), CheckFailure);
+  // Wrong kinds: a string must not read as 0 (the healthy value).
+  for (const char* key : {"dead_codec_units", "dram_bandwidth_factor",
+                          "codec_bit_flip_rate", "exec_stall_ms", "seed"}) {
+    EXPECT_THROW(
+        FaultModel::from_json(std::string("{\"") + key + "\": \"2\"}"),
+        CheckFailure)
+        << key;
+  }
+  EXPECT_THROW(FaultModel::from_json(R"({"dead_codec_units": null})"),
+               CheckFailure);
+  EXPECT_THROW(FaultModel::from_json(R"({"dead_pes": ["4"]})"), CheckFailure);
+  // Non-integers in integer fields.
+  EXPECT_THROW(FaultModel::from_json(R"({"dead_codec_units": 1.5})"),
+               CheckFailure);
+  EXPECT_THROW(FaultModel::from_json(R"({"exec_stall_ms": 2.5})"),
+               CheckFailure);
+  EXPECT_THROW(FaultModel::from_json(R"({"seed": 0.5})"), CheckFailure);
+  // Outside the target type's range, where the conversion is undefined.
+  EXPECT_THROW(FaultModel::from_json(R"({"seed": 1e300})"), CheckFailure);
+  EXPECT_THROW(FaultModel::from_json(R"({"seed": -1})"), CheckFailure);
+  EXPECT_THROW(FaultModel::from_json(R"({"seed": 18446744073709551616})"),
+               CheckFailure);
+  EXPECT_THROW(FaultModel::from_json(R"({"dead_pes": [4294967297]})"),
+               CheckFailure);
+  EXPECT_THROW(FaultModel::from_json(R"({"dead_sram_banks": [-2147483649]})"),
+               CheckFailure);
+  EXPECT_THROW(FaultModel::from_json(R"({"dead_codec_units": 2147483648})"),
+               CheckFailure);
+  EXPECT_THROW(FaultModel::from_json(R"({"exec_stall_ms": 9.3e18})"),
+               CheckFailure);
+  // The edges of each range still parse.
+  EXPECT_EQ(FaultModel::from_json(R"({"dead_codec_units": 2147483647})")
+                .dead_codec_units,
+            std::numeric_limits<int>::max());
+  EXPECT_EQ(FaultModel::from_json(R"({"dead_pes": [-2147483648]})").dead_pes,
+            std::vector<int>{std::numeric_limits<int>::min()});
+  EXPECT_EQ(FaultModel::from_json(R"({"seed": 0})").seed, 0u);
 }
 
 TEST(FaultModel, RandomScenarioKillsRequestedFraction) {

@@ -132,26 +132,37 @@ TEST(CritPath, ResourceAttribution) {
   Engine engine({{"bus", 1}, {"pe", 2}});
   TaskGraph graph;
   const TaskId load = graph.add(make_task({0}, 6, {}, TaskKind::DmaLoad));
-  graph.add(make_task({1}, 4, {load}, TaskKind::Compute));
+  const TaskId compute =
+      graph.add(make_task({1}, 4, {load}, TaskKind::Compute));
+  // A second, off-chain load and a zero-cycle barrier closing the graph.
+  graph.add(make_task({0}, 3, {}, TaskKind::DmaLoad));
+  graph.add(make_task({1}, 0, {compute}, TaskKind::Barrier));
   const RunResult run = engine.run(graph);
   const CritPathReport report = analyze_critical_path(graph, run);
 
   ASSERT_EQ(report.resources.size(), 2u);
   EXPECT_EQ(report.resources[0].name, "bus");
-  EXPECT_EQ(report.resources[0].busy_cycles, 6u);
+  EXPECT_EQ(report.resources[0].busy_cycles, 9u);
   EXPECT_EQ(report.resources[0].critical_cycles, 6u);
-  EXPECT_EQ(report.resources[0].bound_tasks, 1u);
+  EXPECT_EQ(report.resources[0].bound_tasks, 2u);
   EXPECT_EQ(report.resources[1].critical_cycles, 4u);
+  // load -> compute; the barrier ties the makespan but the walk starts
+  // from the lowest-id last finisher.
+  EXPECT_EQ(report.path.size(), 2u);
 
-  ASSERT_FALSE(report.kinds.empty());
   // Sorted by critical cycles: the 6-cycle load dominates the 4-cycle
-  // compute.
+  // compute. Totals count every task of a kind, on the chain or not, and
+  // a kind whose tasks take no cycles is still listed.
+  ASSERT_EQ(report.kinds.size(), 3u);
   EXPECT_EQ(report.kinds[0].kind, TaskKind::DmaLoad);
   EXPECT_EQ(report.kinds[0].critical_cycles, 6u);
-  const CritPathSummary summary = summarize(report);
-  EXPECT_EQ(summary.dominant_kind, "dma_load");
-  EXPECT_EQ(summary.dominant_kind_cycles, 6u);
-  EXPECT_EQ(summary.path_tasks, 2u);
+  EXPECT_EQ(report.kinds[0].total_cycles, 9u);
+  EXPECT_EQ(report.kinds[1].kind, TaskKind::Compute);
+  EXPECT_EQ(report.kinds[1].critical_cycles, 4u);
+  EXPECT_EQ(report.kinds[1].total_cycles, 4u);
+  EXPECT_EQ(report.kinds[2].kind, TaskKind::Barrier);
+  EXPECT_EQ(report.kinds[2].critical_cycles, 0u);
+  EXPECT_EQ(report.kinds[2].total_cycles, 0u);
 }
 
 // ---- what-if: prediction vs replay -------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/critpath.hpp"
 #include "util/rng.hpp"
 
 namespace mocha::sim {
@@ -171,8 +172,15 @@ TEST(Engine, KindCyclesSplit) {
   graph.add(std::move(load));
   graph.add(std::move(compute));
   const RunResult result = engine.run(graph);
-  EXPECT_EQ(result.kind_cycles.at(TaskKind::DmaLoad), 7u);
-  EXPECT_EQ(result.kind_cycles.at(TaskKind::Compute), 9u);
+  // Per-kind totals come from the executed graph (the critical-path
+  // analysis reads them there); the engine sums only per resource.
+  const obs::CritPathReport report = obs::analyze_critical_path(graph, result);
+  ASSERT_EQ(report.kinds.size(), 2u);
+  EXPECT_EQ(report.kinds[0].kind, TaskKind::Compute);
+  EXPECT_EQ(report.kinds[0].total_cycles, 9u);
+  EXPECT_EQ(report.kinds[1].kind, TaskKind::DmaLoad);
+  EXPECT_EQ(report.kinds[1].total_cycles, 7u);
+  EXPECT_EQ(result.resource_busy_cycles[0], 16u);
 }
 
 TEST(Engine, UnknownResourceRejected) {

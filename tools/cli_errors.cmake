@@ -42,13 +42,18 @@ expect_rejected(${SIM} "usage" --isa)                   # missing value
 expect_rejected(${SIM} "usage" --isa avx9)              # not an ISA name
 expect_rejected(${SIM} "usage" -h)                      # help goes to stderr, exit 2
 expect_rejected(${SIM} "requires --trace" --trace-flows)  # flows need a file
-expect_rejected(${SIM} "only applies" --slack-hints h.json --accelerator tiling)
-expect_rejected(${SIM} "cannot read" --slack-hints ${CMAKE_CURRENT_LIST_DIR}/no-such-hints.json)
+
+# --- mocha_sim: nextbest compares default substrates at batch 1 ---
+foreach(flag --batch=4 --sram-kib=64 --pe=4 --clock-mhz=100 --faults=f.json
+        --fault-kill=0.3 --plan --dot=g.dot --critpath-out=cp.json)
+  string(REGEX REPLACE "=.*" "" name "${flag}")
+  expect_rejected(${SIM} "${name} does not apply to --accelerator nextbest"
+                  ${flag} --accelerator nextbest)
+endforeach()
+expect_rejected(${SIM} "does not apply" --accelerator nextbest --batch 4)
 
 # --- mocha_sim: critical-path mode ---
 expect_rejected(${SIM} "usage" --critpath-out)          # missing value
-expect_rejected(${SIM} "only apply" --critpath-out cp.json --accelerator tiling)
-expect_rejected(${SIM} "only apply" --emit-hints h.json --accelerator nextbest)
 expect_rejected(${SIM} "usage" --what-if)               # missing value
 expect_rejected(${SIM} "usage" --what-if dram+0 --critpath-out cp.json)  # add must be positive
 expect_rejected(${SIM} "usage" --what-if pe_groups*0 --critpath-out cp.json)  # zero scale
@@ -62,6 +67,13 @@ expect_rejected(${SIM} "unknown network" --network bogus)
 expect_rejected(${SIM} "unknown objective" --objective speed)
 expect_rejected(${SIM} "unknown accelerator" --accelerator tpu)
 expect_rejected(${SIM} "cannot read" --faults ${CMAKE_CURRENT_LIST_DIR}/no-such-file.json)
+expect_rejected(${SIM} "cannot write" --network lenet5
+                --dot ${CMAKE_CURRENT_LIST_DIR}/no-such-dir/g.dot)
+# A wrong-typed fault spec value is a bad spec, not the healthy default.
+set(bad_faults ${CMAKE_CURRENT_BINARY_DIR}/cli_errors_bad_faults.json)
+file(WRITE ${bad_faults}
+     [=[{"dead_codec_units": "2", "codec_bit_flip_rate": "0.5"}]=])
+expect_rejected(${SIM} "bad fault spec" --network lenet5 --faults ${bad_faults})
 
 # --- mocha_serve: fleet flag parsing ---
 expect_rejected(${SERVE} "usage" --frobnicate)

@@ -9,22 +9,27 @@
 //   mocha_sim --network alexnet --fault-kill 0.25       # degraded fabric
 //   mocha_sim --network vgg16 --critpath-out cp.json    # critical paths
 //
-// Critical-path mode (--critpath-out, --emit-hints; MOCHA only) analyzes
-// every fusion group as run_with_plan executes it (obs/critpath.hpp).
-// --critpath-out writes a mocha.critpath.v1 report: critical chains, CPM
-// bounds, per-resource slack, the --top-k bottleneck layers and task kinds,
-// and each --what-if scenario (a default sweep without one) answered both
-// analytically, as a [predicted, upper_bound] band, and by an engine
-// replay. --emit-hints writes the mocha.hints.v1 per-layer criticality
-// file that --slack-hints feeds back into the planner.
+// MOCHA and the single-strategy baselines (tiling, merge, parallel) run one
+// path: build the accelerator, plan once, simulate the plan through
+// run_with_plan. --plan, --dot and --critpath-out read that plan and run.
+// nextbest instead compares the three baselines on their default
+// substrates at batch 1, so the flags that change the substrate, the batch
+// or that inspect a single plan are refused with it.
 //
-// Exit codes: 0 ok, 1 scratchpad overflow (text mode), 2 bad arguments,
-// 3 internal invariant failure, 5 a what-if replay left its analytic band
-// (model and engine disagree; the documented tolerance admits no slack).
+// --critpath-out analyzes every fusion group as it executes
+// (obs/critpath.hpp) and writes a mocha.critpath.v1 report: critical
+// chains, CPM bounds, per-resource slack, the --top-k bottleneck layers and
+// task kinds, and each --what-if scenario (a default sweep without one)
+// answered both analytically, as a [predicted, upper_bound] band, and by an
+// engine replay.
+//
+// Exit codes: 0 ok, 1 scratchpad overflow (text mode), 2 bad arguments or
+// an output file that cannot be written, 3 internal invariant failure, 5 a
+// what-if replay left its analytic band (model and engine disagree; the
+// documented tolerance admits no slack).
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -47,7 +52,6 @@
 #include "serve/signal.hpp"
 #include "sim/dot.hpp"
 #include "util/json.hpp"
-#include "util/json_parse.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -67,16 +71,13 @@ struct Args {
   bool json = false;
   bool show_plan = false;
   bool metrics = false;   // collect and print a MetricsRegistry snapshot
-  bool critpath = false;  // per-group critical-path summary in the report
   bool trace_flows = false;  // dependence-edge flow events in the trace
-  std::string slack_hints_file;  // mocha.hints.v1 planner bias (mocha only)
   std::string dot_file;   // export the first group's schedule as Graphviz
   std::string trace_file; // write a Chrome trace-event JSON of the run
   std::string faults_file;  // JSON fault scenario (fault/model.hpp)
   double fault_kill = 0.0;  // random scenario killing this fraction
   std::uint64_t fault_seed = 42;
   std::string critpath_out;           // mocha.critpath.v1 report destination
-  std::string hints_file;             // mocha.hints.v1 destination
   std::vector<mocha::obs::WhatIf> what_ifs;  // empty = the default sweep
   int top_k = 5;                      // bottleneck list length
 };
@@ -93,17 +94,27 @@ Args parse(int argc, char** argv) {
       "[--dot FILE]\n"
       "       [--trace FILE] [--trace-flows] [--metrics] "
       "[--isa scalar|avx2|neon]\n"
-      "       [--critpath] [--slack-hints FILE]\n"
-      "       [--critpath-out FILE] [--emit-hints FILE] [--top-k N]\n"
+      "       [--critpath-out FILE] [--top-k N]\n"
       "       [--what-if unbounded|RES+N|RES*K|KIND/F]...\n"
       "       [--faults FILE] [--fault-kill FRAC] [--fault-seed N]\n");
   std::string report_only_flag;  // a flag that needs --critpath-out
+  std::string single_run_flag;   // shapes the one run nextbest does not make
   while (cli.next()) {
     const std::string& flag = cli.flag();
+    if (flag == "--batch" || flag == "--sram-kib" || flag == "--pe" ||
+        flag == "--clock-mhz" || flag == "--faults" || flag == "--fault-kill" ||
+        flag == "--plan" || flag == "--dot" || flag == "--critpath-out") {
+      single_run_flag = flag;
+    }
     if (flag == "--network") {
       args.network = cli.network();
     } else if (flag == "--accelerator") {
       args.accelerator = cli.value();
+      if (args.accelerator != "mocha" && args.accelerator != "tiling" &&
+          args.accelerator != "merge" && args.accelerator != "parallel" &&
+          args.accelerator != "nextbest") {
+        cli.bad_arg("unknown accelerator: " + args.accelerator);
+      }
     } else if (flag == "--objective") {
       args.objective = cli.value();
     } else if (flag == "--batch") {
@@ -128,16 +139,10 @@ Args parse(int argc, char** argv) {
       args.trace_file = cli.value();
     } else if (flag == "--metrics") {
       args.metrics = true;
-    } else if (flag == "--critpath") {
-      args.critpath = true;
     } else if (flag == "--trace-flows") {
       args.trace_flows = true;
-    } else if (flag == "--slack-hints") {
-      args.slack_hints_file = cli.value();
     } else if (flag == "--critpath-out") {
       args.critpath_out = cli.value();
-    } else if (flag == "--emit-hints") {
-      args.hints_file = cli.value();
     } else if (flag == "--what-if") {
       // Parse now so a typo is a CLI error, not a mid-run abort after
       // minutes of planning.
@@ -167,78 +172,13 @@ Args parse(int argc, char** argv) {
   if (args.trace_flows && args.trace_file.empty()) {
     cli.bad_arg("--trace-flows requires --trace");
   }
-  if (!args.slack_hints_file.empty() && args.accelerator != "mocha") {
-    cli.bad_arg("--slack-hints only applies to --accelerator mocha");
-  }
-  if ((!args.critpath_out.empty() || !args.hints_file.empty()) &&
-      args.accelerator != "mocha") {
-    cli.bad_arg(
-        "--critpath-out and --emit-hints only apply to --accelerator mocha");
+  if (!single_run_flag.empty() && args.accelerator == "nextbest") {
+    cli.bad_arg(single_run_flag + " does not apply to --accelerator nextbest");
   }
   if (!report_only_flag.empty() && args.critpath_out.empty()) {
     cli.bad_arg(report_only_flag + " requires --critpath-out");
   }
   return args;
-}
-
-/// Loads a mocha.hints.v1 document (written by `mocha_sim --emit-hints`)
-/// into a per-layer criticality vector for MorphOptions. An unreadable file
-/// ends the run like a bad flag (cli::read_file); any structural problem is
-/// also a CLI-input error: explain on stderr, return false.
-bool load_slack_hints(const std::string& path, const mocha::nn::Network& net,
-                      std::vector<double>* out) {
-  using mocha::util::JsonValue;
-  JsonValue doc;
-  try {
-    doc = mocha::util::parse_json(mocha::cli::read_file(path, "slack hints"));
-  } catch (const mocha::CheckFailure& e) {
-    std::cerr << "error: bad slack hints " << path << ": " << e.what() << "\n";
-    return false;
-  }
-  const JsonValue* schema = doc.find("schema");
-  if (schema == nullptr || schema->string != "mocha.hints.v1") {
-    std::cerr << "error: " << path << " is not a mocha.hints.v1 document\n";
-    return false;
-  }
-  const JsonValue* hint_net = doc.find("network");
-  if (hint_net != nullptr && hint_net->string != net.name) {
-    // Stale hints silently biasing the wrong network would be a debugging
-    // trap; a mismatch is a hard error, not a warning.
-    std::cerr << "error: slack hints are for network '" << hint_net->string
-              << "', simulating '" << net.name << "'\n";
-    return false;
-  }
-  const JsonValue* layers = doc.find("layers");
-  if (layers == nullptr || !layers->is_array()) {
-    std::cerr << "error: " << path << " has no layers array\n";
-    return false;
-  }
-  std::vector<double> hints(net.layers.size(), 0.0);
-  for (const JsonValue& entry : layers->array) {
-    const JsonValue* layer = entry.find("layer");
-    const JsonValue* crit = entry.find("criticality");
-    if (layer == nullptr || crit == nullptr) {
-      std::cerr << "error: " << path
-                << ": each layer entry needs 'layer' and 'criticality'\n";
-      return false;
-    }
-    const double idx = layer->number;
-    if (idx < 0 || idx >= static_cast<double>(hints.size()) ||
-        idx != static_cast<double>(static_cast<std::size_t>(idx))) {
-      std::cerr << "error: " << path << ": layer index " << idx
-                << " outside network (" << hints.size() << " layers)\n";
-      return false;
-    }
-    if (!std::isfinite(crit->number) || crit->number < 0.0 ||
-        crit->number > 1.0) {
-      std::cerr << "error: " << path << ": criticality " << crit->number
-                << " outside [0, 1]\n";
-      return false;
-    }
-    hints[static_cast<std::size_t>(idx)] = crit->number;
-  }
-  *out = std::move(hints);
-  return true;
 }
 
 /// Layer index encoded in a builder task label ("comp.L3.0.1" -> 3); tasks
@@ -257,7 +197,7 @@ std::size_t label_layer(const std::string& label, std::size_t fallback,
   return static_cast<std::size_t>(value);
 }
 
-/// What critical-path mode keeps of one executed fusion group.
+/// What --critpath-out keeps of one executed fusion group.
 struct CritGroup {
   /// One step of the schedule-critical chain and the layer it counts for.
   struct Step {
@@ -274,21 +214,20 @@ struct CritGroup {
   std::vector<mocha::obs::WhatIfOutcome> outcomes;  // one per what-if
 };
 
-/// Critical-path mode's view of the run, filled group by group from
+/// --critpath-out's view of the run, analyzed group by group from
 /// run_with_plan's observer.
 struct CritPath {
-  std::vector<mocha::obs::WhatIf> what_ifs;  // empty without --critpath-out
+  std::vector<mocha::obs::WhatIf> what_ifs;
   std::vector<CritGroup> groups;
   std::vector<Cycle> layer_critical;  // critical-chain cycles per layer
 
   void add(const mocha::dataflow::BuiltSchedule& built,
-           const mocha::sim::RunResult& run,
-           const mocha::obs::CritPathReport& report, std::size_t first_layer,
+           const mocha::sim::RunResult& run, std::size_t first_layer,
            std::int64_t reconfig_cycles) {
     CritGroup group;
     group.reconfig_cycles = reconfig_cycles;
-    group.report = report;
-    for (const mocha::obs::CritStep& step : report.path) {
+    group.report = mocha::obs::analyze_critical_path(built.graph, run);
+    for (const mocha::obs::CritStep& step : group.report.path) {
       const mocha::sim::Task& task = built.graph.task(step.task);
       const std::size_t layer =
           label_layer(task.label, first_layer, layer_critical.size());
@@ -318,255 +257,225 @@ std::vector<std::size_t> ranked(const std::vector<Cycle>& cycles,
 }
 
 /// Writes the --critpath-out report (mocha.critpath.v1), summarized on
-/// stderr, and the --emit-hints file (mocha.hints.v1). Returns the exit
-/// status: 2 when a file cannot be written, 5 when a what-if replay
-/// escaped its analytic band, else 0.
-int write_critpath_outputs(const Args& args, const CritPath& crit,
-                           const mocha::nn::Network& net,
-                           const mocha::core::RunReport& run,
-                           const mocha::obs::RunManifest& manifest) {
+/// stderr. Returns the exit status: 2 when the file cannot be written, 5
+/// when a what-if replay escaped its analytic band, else 0.
+int write_critpath_report(const Args& args, const CritPath& crit,
+                          const mocha::nn::Network& net,
+                          const mocha::core::RunReport& run,
+                          const mocha::obs::RunManifest& manifest) {
   using namespace mocha;
   const std::vector<Cycle>& layer_critical = crit.layer_critical;
   const auto top_k = static_cast<std::size_t>(args.top_k);
   bool diverged = false;
 
-  if (!args.critpath_out.empty()) {
-    // Each what-if summed over groups: group makespans add up (groups run
-    // back to back) and the fixed per-group reconfig charge rides along —
-    // scaled exactly for a reconfig speedup scenario, unchanged otherwise.
-    std::vector<obs::WhatIfOutcome> totals;
-    for (std::size_t s = 0; s < crit.what_ifs.size(); ++s) {
-      const obs::WhatIf& spec = crit.what_ifs[s];
-      obs::WhatIfOutcome total;
-      total.name = spec.name;
-      total.applicable = false;
-      total.exact = total.within_bounds = true;
-      for (std::size_t g = 0; g < crit.groups.size(); ++g) {
-        const obs::WhatIfOutcome& o = crit.groups[g].outcomes[s];
-        const std::int64_t reconfig = crit.groups[g].reconfig_cycles;
-        const Cycle scaled =
-            spec.kind == obs::WhatIf::Kind::Speed &&
-                    spec.task_kind == sim::TaskKind::Reconfig && reconfig > 0
-                ? static_cast<Cycle>(std::ceil(static_cast<double>(reconfig) /
-                                               spec.speed_factor))
-                : static_cast<Cycle>(reconfig);
-        total.baseline += o.baseline + static_cast<Cycle>(reconfig);
-        total.predicted += o.predicted + scaled;
-        total.upper_bound += o.upper_bound + scaled;
-        total.replayed += o.replayed + scaled;
-        total.applicable = total.applicable || o.applicable ||
-                           scaled != static_cast<Cycle>(reconfig);
-        total.exact = total.exact && o.exact;
-        total.within_bounds = total.within_bounds && o.within_bounds;
-        if (!o.within_bounds) {
-          std::cerr << "mocha_sim: what-if '" << o.name << "' on group " << g
-                    << " (" << run.groups[g].label << "): replayed "
-                    << o.replayed << " outside analytic band [" << o.predicted
-                    << ", " << o.upper_bound << "]\n";
-          diverged = true;
-        }
-      }
-      totals.push_back(total);
-    }
-
-    std::int64_t total_reconfig = 0;
-    constexpr std::size_t kKinds =
-        static_cast<std::size_t>(sim::TaskKind::Barrier) + 1;
-    std::vector<Cycle> kind_critical(kKinds, 0);
-    std::vector<Cycle> kind_total(kKinds, 0);
-    for (const CritGroup& group : crit.groups) {
-      total_reconfig += group.reconfig_cycles;
-      for (const obs::CritKind& kind : group.report.kinds) {
-        kind_critical[static_cast<std::size_t>(kind.kind)] +=
-            kind.critical_cycles;
-        kind_total[static_cast<std::size_t>(kind.kind)] += kind.total_cycles;
-      }
-    }
-
-    util::JsonWriter json;
-    json.begin_object();
-    json.key("schema").value("mocha.critpath.v1");
-    json.key("manifest");
-    manifest.write_json(json);
-    json.key("total_cycles").value(run.total_cycles);
-    json.key("reconfig_cycles").value(total_reconfig);
-    json.key("groups").begin_array();
+  // Each what-if summed over groups: group makespans add up (groups run
+  // back to back) and the fixed per-group reconfig charge rides along —
+  // scaled exactly for a reconfig speedup scenario, unchanged otherwise.
+  std::vector<obs::WhatIfOutcome> totals;
+  for (std::size_t s = 0; s < crit.what_ifs.size(); ++s) {
+    const obs::WhatIf& spec = crit.what_ifs[s];
+    obs::WhatIfOutcome total;
+    total.name = spec.name;
+    total.applicable = false;
+    total.exact = total.within_bounds = true;
     for (std::size_t g = 0; g < crit.groups.size(); ++g) {
-      const CritGroup& group = crit.groups[g];
-      const obs::CritPathReport& cp = group.report;
-      json.begin_object();
-      json.key("group").value(static_cast<std::int64_t>(g));
-      json.key("label").value(run.groups[g].label);
-      json.key("first_layer")
-          .value(static_cast<std::int64_t>(run.groups[g].first_layer));
-      json.key("last_layer")
-          .value(static_cast<std::int64_t>(run.groups[g].last_layer));
-      json.key("makespan").value(cp.makespan);
-      json.key("reconfig_cycles").value(group.reconfig_cycles);
-      json.key("dep_critical_cycles").value(cp.dep_critical_cycles);
-      json.key("contention_gap").value(cp.contention_gap);
-      json.key("queue_entered_cycles").value(cp.queue_entered_cycles);
-      json.key("path_complete").value(cp.path_complete);
-      json.key("path").begin_array();
-      for (std::size_t i = 0; i < cp.path.size(); ++i) {
-        const CritGroup::Step& step = group.steps[i];
-        json.begin_object();
-        json.key("task").value(cp.path[i].task);
-        json.key("entered_by")
-            .value(obs::crit_edge_name(cp.path[i].entered_by));
-        json.key("kind").value(sim::task_kind_name(step.kind));
-        json.key("label").value(step.label);
-        json.key("layer").value(static_cast<std::int64_t>(step.layer));
-        json.key("start").value(step.start);
-        json.key("finish").value(step.finish);
-        json.end_object();
+      const obs::WhatIfOutcome& o = crit.groups[g].outcomes[s];
+      const std::int64_t reconfig = crit.groups[g].reconfig_cycles;
+      const Cycle scaled =
+          spec.kind == obs::WhatIf::Kind::Speed &&
+                  spec.task_kind == sim::TaskKind::Reconfig && reconfig > 0
+              ? static_cast<Cycle>(std::ceil(static_cast<double>(reconfig) /
+                                             spec.speed_factor))
+              : static_cast<Cycle>(reconfig);
+      total.baseline += o.baseline + static_cast<Cycle>(reconfig);
+      total.predicted += o.predicted + scaled;
+      total.upper_bound += o.upper_bound + scaled;
+      total.replayed += o.replayed + scaled;
+      total.applicable = total.applicable || o.applicable ||
+                         scaled != static_cast<Cycle>(reconfig);
+      total.exact = total.exact && o.exact;
+      total.within_bounds = total.within_bounds && o.within_bounds;
+      if (!o.within_bounds) {
+        std::cerr << "mocha_sim: what-if '" << o.name << "' on group " << g
+                  << " (" << run.groups[g].label << "): replayed "
+                  << o.replayed << " outside analytic band [" << o.predicted
+                  << ", " << o.upper_bound << "]\n";
+        diverged = true;
       }
-      json.end_array();
-      json.key("kinds").begin_array();
-      for (const obs::CritKind& kind : cp.kinds) {
-        json.begin_object();
-        json.key("kind").value(sim::task_kind_name(kind.kind));
-        json.key("critical_cycles").value(kind.critical_cycles);
-        json.key("total_cycles").value(kind.total_cycles);
-        json.end_object();
-      }
-      json.end_array();
-      json.key("resources").begin_array();
-      for (const obs::CritResource& res : cp.resources) {
-        json.begin_object();
-        json.key("name").value(res.name);
-        json.key("capacity").value(res.capacity);
-        json.key("busy_cycles").value(res.busy_cycles);
-        json.key("critical_cycles").value(res.critical_cycles);
-        json.key("queue_wait_cycles").value(res.queue_wait_cycles);
-        json.key("min_slack").value(res.min_slack);
-        json.key("mean_slack").value(res.mean_slack);
-        json.key("utilization").value(res.utilization);
-        json.key("bound_tasks").value(res.bound_tasks);
-        json.end_object();
-      }
-      json.end_array();
-      json.end_object();
     }
-    json.end_array();
+    totals.push_back(total);
+  }
 
-    // Top-k bottleneck layers by critical-chain cycles, then task kinds.
-    Cycle critical_sum = 0;
-    for (Cycle c : layer_critical) critical_sum += c;
-    const std::vector<std::size_t> layers =
-        ranked(layer_critical, layer_critical);
-    json.key("bottleneck_layers").begin_array();
-    for (std::size_t r = 0; r < layers.size() && r < top_k; ++r) {
-      json.begin_object();
-      json.key("layer").value(static_cast<std::int64_t>(layers[r]));
-      json.key("name").value(net.layers[layers[r]].name);
-      json.key("critical_cycles").value(layer_critical[layers[r]]);
-      json.key("share").value(
-          critical_sum == 0 ? 0.0
-                            : static_cast<double>(layer_critical[layers[r]]) /
-                                  static_cast<double>(critical_sum));
-      json.end_object();
+  std::int64_t total_reconfig = 0;
+  constexpr std::size_t kKinds =
+      static_cast<std::size_t>(sim::TaskKind::Barrier) + 1;
+  std::vector<Cycle> kind_critical(kKinds, 0);
+  std::vector<Cycle> kind_total(kKinds, 0);
+  for (const CritGroup& group : crit.groups) {
+    total_reconfig += group.reconfig_cycles;
+    for (const obs::CritKind& kind : group.report.kinds) {
+      kind_critical[static_cast<std::size_t>(kind.kind)] +=
+          kind.critical_cycles;
+      kind_total[static_cast<std::size_t>(kind.kind)] += kind.total_cycles;
     }
-    json.end_array();
-    const std::vector<std::size_t> kinds = ranked(kind_critical, kind_total);
-    json.key("bottleneck_kinds").begin_array();
-    for (std::size_t r = 0; r < kinds.size() && r < top_k; ++r) {
-      json.begin_object();
-      json.key("kind").value(
-          sim::task_kind_name(static_cast<sim::TaskKind>(kinds[r])));
-      json.key("critical_cycles").value(kind_critical[kinds[r]]);
-      json.key("total_cycles").value(kind_total[kinds[r]]);
-      json.end_object();
-    }
-    json.end_array();
+  }
 
-    json.key("what_if").begin_array();
-    for (std::size_t s = 0; s < totals.size(); ++s) {
-      const obs::WhatIfOutcome& total = totals[s];
-      const auto speedup = [&](Cycle cycles) {
-        return cycles == 0 ? 1.0
-                           : static_cast<double>(total.baseline) /
-                                 static_cast<double>(cycles);
-      };
+  util::JsonWriter json;
+  json.begin_object();
+  json.key("schema").value("mocha.critpath.v1");
+  json.key("manifest");
+  manifest.write_json(json);
+  json.key("total_cycles").value(run.total_cycles);
+  json.key("reconfig_cycles").value(total_reconfig);
+  json.key("groups").begin_array();
+  for (std::size_t g = 0; g < crit.groups.size(); ++g) {
+    const CritGroup& group = crit.groups[g];
+    const obs::CritPathReport& cp = group.report;
+    json.begin_object();
+    json.key("group").value(static_cast<std::int64_t>(g));
+    json.key("label").value(run.groups[g].label);
+    json.key("first_layer")
+        .value(static_cast<std::int64_t>(run.groups[g].first_layer));
+    json.key("last_layer")
+        .value(static_cast<std::int64_t>(run.groups[g].last_layer));
+    json.key("makespan").value(cp.makespan);
+    json.key("reconfig_cycles").value(group.reconfig_cycles);
+    json.key("dep_critical_cycles").value(cp.dep_critical_cycles);
+    json.key("contention_gap").value(cp.contention_gap);
+    json.key("queue_entered_cycles").value(cp.queue_entered_cycles);
+    json.key("path_complete").value(cp.path_complete);
+    json.key("path").begin_array();
+    for (std::size_t i = 0; i < cp.path.size(); ++i) {
+      const CritGroup::Step& step = group.steps[i];
       json.begin_object();
-      json.key("name").value(total.name);
-      json.key("applicable").value(total.applicable);
-      json.key("exact").value(total.exact);
-      json.key("within_bounds").value(total.within_bounds);
-      json.key("baseline_cycles").value(total.baseline);
-      json.key("predicted_cycles").value(total.predicted);
-      json.key("upper_bound_cycles").value(total.upper_bound);
-      json.key("replayed_cycles").value(total.replayed);
-      json.key("predicted_speedup").value(speedup(total.predicted));
-      json.key("replayed_speedup").value(speedup(total.replayed));
-      json.key("groups").begin_array();
-      for (std::size_t g = 0; g < crit.groups.size(); ++g) {
-        const obs::WhatIfOutcome& o = crit.groups[g].outcomes[s];
-        json.begin_object();
-        json.key("group").value(static_cast<std::int64_t>(g));
-        json.key("applicable").value(o.applicable);
-        json.key("exact").value(o.exact);
-        json.key("within_bounds").value(o.within_bounds);
-        json.key("baseline").value(o.baseline);
-        json.key("predicted").value(o.predicted);
-        json.key("upper_bound").value(o.upper_bound);
-        json.key("replayed").value(o.replayed);
-        json.end_object();
-      }
-      json.end_array();
+      json.key("task").value(cp.path[i].task);
+      json.key("entered_by")
+          .value(obs::crit_edge_name(cp.path[i].entered_by));
+      json.key("kind").value(sim::task_kind_name(step.kind));
+      json.key("label").value(step.label);
+      json.key("layer").value(static_cast<std::int64_t>(step.layer));
+      json.key("start").value(step.start);
+      json.key("finish").value(step.finish);
+      json.end_object();
+    }
+    json.end_array();
+    json.key("kinds").begin_array();
+    for (const obs::CritKind& kind : cp.kinds) {
+      json.begin_object();
+      json.key("kind").value(sim::task_kind_name(kind.kind));
+      json.key("critical_cycles").value(kind.critical_cycles);
+      json.key("total_cycles").value(kind.total_cycles);
+      json.end_object();
+    }
+    json.end_array();
+    json.key("resources").begin_array();
+    for (const obs::CritResource& res : cp.resources) {
+      json.begin_object();
+      json.key("name").value(res.name);
+      json.key("capacity").value(res.capacity);
+      json.key("busy_cycles").value(res.busy_cycles);
+      json.key("critical_cycles").value(res.critical_cycles);
+      json.key("queue_wait_cycles").value(res.queue_wait_cycles);
+      json.key("min_slack").value(res.min_slack);
+      json.key("mean_slack").value(res.mean_slack);
+      json.key("utilization").value(res.utilization);
+      json.key("bound_tasks").value(res.bound_tasks);
       json.end_object();
     }
     json.end_array();
     json.end_object();
-    if (!obs::write_file_atomic(args.critpath_out, json.str() + "\n")) {
-      std::cerr << "error: cannot write " << args.critpath_out << "\n";
-      return 2;
-    }
+  }
+  json.end_array();
 
-    std::cerr << args.network << ": " << run.total_cycles << " cycles across "
-              << crit.groups.size() << " groups";
-    if (!layers.empty()) {
-      std::cerr << "; top bottleneck layer " << net.layers[layers[0]].name
-                << " (" << layer_critical[layers[0]] << " critical cycles)";
+  // Top-k bottleneck layers by critical-chain cycles, then task kinds.
+  Cycle critical_sum = 0;
+  for (Cycle c : layer_critical) critical_sum += c;
+  const std::vector<std::size_t> layers =
+      ranked(layer_critical, layer_critical);
+  json.key("bottleneck_layers").begin_array();
+  for (std::size_t r = 0; r < layers.size() && r < top_k; ++r) {
+    json.begin_object();
+    json.key("layer").value(static_cast<std::int64_t>(layers[r]));
+    json.key("name").value(net.layers[layers[r]].name);
+    json.key("critical_cycles").value(layer_critical[layers[r]]);
+    json.key("share").value(
+        critical_sum == 0 ? 0.0
+                          : static_cast<double>(layer_critical[layers[r]]) /
+                                static_cast<double>(critical_sum));
+    json.end_object();
+  }
+  json.end_array();
+  const std::vector<std::size_t> kinds = ranked(kind_critical, kind_total);
+  json.key("bottleneck_kinds").begin_array();
+  for (std::size_t r = 0; r < kinds.size() && r < top_k; ++r) {
+    json.begin_object();
+    json.key("kind").value(
+        sim::task_kind_name(static_cast<sim::TaskKind>(kinds[r])));
+    json.key("critical_cycles").value(kind_critical[kinds[r]]);
+    json.key("total_cycles").value(kind_total[kinds[r]]);
+    json.end_object();
+  }
+  json.end_array();
+
+  json.key("what_if").begin_array();
+  for (std::size_t s = 0; s < totals.size(); ++s) {
+    const obs::WhatIfOutcome& total = totals[s];
+    const auto speedup = [&](Cycle cycles) {
+      return cycles == 0 ? 1.0
+                         : static_cast<double>(total.baseline) /
+                               static_cast<double>(cycles);
+    };
+    json.begin_object();
+    json.key("name").value(total.name);
+    json.key("applicable").value(total.applicable);
+    json.key("exact").value(total.exact);
+    json.key("within_bounds").value(total.within_bounds);
+    json.key("baseline_cycles").value(total.baseline);
+    json.key("predicted_cycles").value(total.predicted);
+    json.key("upper_bound_cycles").value(total.upper_bound);
+    json.key("replayed_cycles").value(total.replayed);
+    json.key("predicted_speedup").value(speedup(total.predicted));
+    json.key("replayed_speedup").value(speedup(total.replayed));
+    json.key("groups").begin_array();
+    for (std::size_t g = 0; g < crit.groups.size(); ++g) {
+      const obs::WhatIfOutcome& o = crit.groups[g].outcomes[s];
+      json.begin_object();
+      json.key("group").value(static_cast<std::int64_t>(g));
+      json.key("applicable").value(o.applicable);
+      json.key("exact").value(o.exact);
+      json.key("within_bounds").value(o.within_bounds);
+      json.key("baseline").value(o.baseline);
+      json.key("predicted").value(o.predicted);
+      json.key("upper_bound").value(o.upper_bound);
+      json.key("replayed").value(o.replayed);
+      json.end_object();
     }
-    std::cerr << "\n";
-    for (const obs::WhatIfOutcome& total : totals) {
-      std::cerr << "  what-if " << total.name << ": predicted ["
-                << total.predicted << ", " << total.upper_bound
-                << "], replayed " << total.replayed
-                << (total.exact ? " (exact)" : "")
-                << (total.within_bounds ? "" : "  ** OUT OF BOUNDS **")
-                << "\n";
-    }
-    std::cerr << "wrote " << args.critpath_out << "\n";
+    json.end_array();
+    json.end_object();
+  }
+  json.end_array();
+  json.end_object();
+  if (!obs::write_file_atomic(args.critpath_out, json.str() + "\n")) {
+    std::cerr << "error: cannot write " << args.critpath_out << "\n";
+    return 2;
   }
 
-  if (!args.hints_file.empty()) {
-    // Per-layer criticality normalized to the most critical layer.
-    const Cycle max_critical =
-        *std::max_element(layer_critical.begin(), layer_critical.end());
-    util::JsonWriter hints;
-    hints.begin_object();
-    hints.key("schema").value("mocha.hints.v1");
-    hints.key("network").value(net.name);
-    hints.key("layers").begin_array();
-    for (std::size_t l = 0; l < net.layers.size(); ++l) {
-      hints.begin_object();
-      hints.key("layer").value(static_cast<std::int64_t>(l));
-      hints.key("name").value(net.layers[l].name);
-      hints.key("criticality")
-          .value(max_critical == 0 ? 0.0
-                                   : static_cast<double>(layer_critical[l]) /
-                                         static_cast<double>(max_critical));
-      hints.end_object();
-    }
-    hints.end_array();
-    hints.end_object();
-    if (!obs::write_file_atomic(args.hints_file, hints.str() + "\n")) {
-      std::cerr << "error: cannot write " << args.hints_file << "\n";
-      return 2;
-    }
+  std::cerr << args.network << ": " << run.total_cycles << " cycles across "
+            << crit.groups.size() << " groups";
+  if (!layers.empty()) {
+    std::cerr << "; top bottleneck layer " << net.layers[layers[0]].name
+              << " (" << layer_critical[layers[0]] << " critical cycles)";
   }
+  std::cerr << "\n";
+  for (const obs::WhatIfOutcome& total : totals) {
+    std::cerr << "  what-if " << total.name << ": predicted ["
+              << total.predicted << ", " << total.upper_bound
+              << "], replayed " << total.replayed
+              << (total.exact ? " (exact)" : "")
+              << (total.within_bounds ? "" : "  ** OUT OF BOUNDS **")
+              << "\n";
+  }
+  std::cerr << "wrote " << args.critpath_out << "\n";
 
   if (diverged) {
     std::cerr << "mocha_sim: analytic prediction and engine replay "
@@ -616,6 +525,24 @@ int run(const Args& args) {
     }
     return config;
   };
+  // MOCHA or one fixed-strategy baseline, on its base fabric customized once.
+  const auto make_accelerator = [&] {
+    for (baseline::Strategy strategy : baseline::kAllStrategies) {
+      if (args.accelerator == baseline::strategy_name(strategy)) {
+        return baseline::make_baseline_accelerator(
+            strategy, customize(fabric::baseline_config(args.accelerator)),
+            model::default_tech(), objective);
+      }
+    }
+    core::MorphOptions options;
+    options.objective = objective;
+    options.allow_compression = !args.no_compression;
+    options.allow_huffman = args.huffman;
+    return core::Accelerator(
+        customize(fabric::mocha_default_config()), model::default_tech(),
+        std::make_shared<core::MorphController>(model::default_tech(),
+                                                options));
+  };
 
   if (args.metrics) obs::MetricsRegistry::global().set_enabled(true);
   // The session flushes to disk when it goes out of scope, after the run.
@@ -640,29 +567,19 @@ int run(const Args& args) {
     std::cerr << "mocha_sim: interrupted; partial trace flushed\n";
   });
 
-  // The config the selected accelerator actually ran with, for the manifest.
-  fabric::FabricConfig used_config = customize(fabric::mocha_default_config());
-
-  const bool critpath_mode =
-      !args.critpath_out.empty() || !args.hints_file.empty();
   CritPath crit;
   core::RunReport report;
-  if (args.accelerator == "mocha") {
-    core::MorphOptions options;
-    options.objective = objective;
-    options.allow_compression = !args.no_compression;
-    options.allow_huffman = args.huffman;
-    if (!args.slack_hints_file.empty() &&
-        !load_slack_hints(args.slack_hints_file, net,
-                          &options.layer_criticality)) {
-      return 2;
-    }
-    const core::Accelerator acc(
-        customize(fabric::mocha_default_config()), model::default_tech(),
-        std::make_shared<core::MorphController>(model::default_tech(),
-                                                options));
-    // Plan once: the run, --plan, --dot and critical-path mode all read
-    // this plan, the last three through run_with_plan's group observer.
+  fabric::FabricConfig used_config;  // what the run used, for the manifest
+  if (args.accelerator == "nextbest") {
+    baseline::NextBest best =
+        baseline::next_best(net, model::default_tech(), objective);
+    used_config =
+        fabric::baseline_config(baseline::strategy_name(best.strategy));
+    report = std::move(best.report);
+  } else {
+    // One run: the fabric customized once, one plan, one run_with_plan
+    // whose observer feeds --dot and --critpath-out.
+    const core::Accelerator acc = make_accelerator();
     const auto stats = core::assumed_stats(net, nn::SparsityProfile{});
     const dataflow::NetworkPlan plan = acc.plan(net, stats, args.batch);
     if (args.show_plan) {
@@ -671,62 +588,49 @@ int run(const Args& args) {
                   << "\n";
       }
     }
-    crit.layer_critical.assign(net.layers.size(), 0);
-    crit.what_ifs = args.what_ifs;
-    if (!args.critpath_out.empty() && crit.what_ifs.empty()) {
-      // The canonical questions: contention-free headroom, one more DMA
-      // channel, doubled codec bandwidth, doubled compute parallelism, and
-      // a 2x faster config bus.
-      for (const char* spec : {"unbounded", "dram_channels+1", "codec_units*2",
-                               "pe_groups*2", "reconfig/2"}) {
-        crit.what_ifs.push_back(obs::parse_what_if(spec));
+    const bool critpath_mode = !args.critpath_out.empty();
+    if (critpath_mode) {
+      crit.layer_critical.assign(net.layers.size(), 0);
+      crit.what_ifs = args.what_ifs;
+      if (crit.what_ifs.empty()) {
+        // The canonical questions: contention-free headroom, one more DMA
+        // channel, doubled codec bandwidth, doubled compute parallelism,
+        // and a 2x faster config bus.
+        for (const char* spec : {"unbounded", "dram_channels+1",
+                                 "codec_units*2", "pe_groups*2",
+                                 "reconfig/2"}) {
+          crit.what_ifs.push_back(obs::parse_what_if(spec));
+        }
       }
     }
     const auto groups = plan.fusion_groups();
+    std::string dot;  // the first group's executed task graph, for --dot
+    std::size_t dot_tasks = 0;
     core::Accelerator::GroupObserver observer;
     if (critpath_mode || !args.dot_file.empty()) {
       observer = [&](std::size_t gi, const dataflow::BuiltSchedule& built,
-                     const sim::RunResult& run,
-                     const obs::CritPathReport& critpath) {
+                     const sim::RunResult& run) {
         if (gi == 0 && !args.dot_file.empty()) {
-          // Export the first scheduled group's executed task graph.
-          std::ofstream out(args.dot_file);
-          out << sim::to_dot(built.graph, built.layout.specs);
-          std::cerr << "wrote " << args.dot_file << " ("
-                    << built.graph.size() << " tasks)\n";
+          dot = sim::to_dot(built.graph, built.layout.specs);
+          dot_tasks = built.graph.size();
         }
         if (critpath_mode) {
           const std::size_t first = groups[gi].first;
-          crit.add(built, run, critpath, first,
+          crit.add(built, run, first,
                    core::group_reconfig_cycles(acc.config(), plan, first));
         }
       };
     }
     report = acc.run_with_plan(net, plan, stats, args.batch, observer);
     used_config = acc.config();
-  } else if (args.accelerator == "nextbest") {
-    baseline::NextBest best =
-        baseline::next_best(net, model::default_tech(), objective);
-    used_config =
-        fabric::baseline_config(baseline::strategy_name(best.strategy));
-    report = std::move(best.report);
-  } else {
-    baseline::Strategy strategy;
-    if (args.accelerator == "tiling") {
-      strategy = baseline::Strategy::TilingOnly;
-    } else if (args.accelerator == "merge") {
-      strategy = baseline::Strategy::MergeOnly;
-    } else if (args.accelerator == "parallel") {
-      strategy = baseline::Strategy::ParallelOnly;
-    } else {
-      std::cerr << "unknown accelerator: " << args.accelerator << "\n";
-      return 2;
+    if (!args.dot_file.empty()) {
+      if (!obs::write_file_atomic(args.dot_file, dot)) {
+        std::cerr << "error: cannot write " << args.dot_file << "\n";
+        return 2;
+      }
+      std::cerr << "wrote " << args.dot_file << " (" << dot_tasks
+                << " tasks)\n";
     }
-    const core::Accelerator acc = baseline::make_baseline_accelerator(
-        strategy, customize(fabric::baseline_config(args.accelerator)),
-        model::default_tech(), objective);
-    report = acc.run(net, {}, args.batch);
-    used_config = acc.config();
   }
 
   {
@@ -748,9 +652,9 @@ int run(const Args& args) {
   manifest.fault_scenario = fault_summary;
 
   const int status =
-      critpath_mode
-          ? write_critpath_outputs(args, crit, net, report, manifest)
-          : 0;
+      args.critpath_out.empty()
+          ? 0
+          : write_critpath_report(args, crit, net, report, manifest);
   if (status == 2) return status;
 
   obs::MetricsSnapshot snapshot;
@@ -758,8 +662,7 @@ int run(const Args& args) {
 
   if (args.json) {
     std::cout << core::report_to_json(report, &manifest,
-                                      args.metrics ? &snapshot : nullptr,
-                                      args.critpath)
+                                      args.metrics ? &snapshot : nullptr)
               << "\n";
     return status;
   }
@@ -783,33 +686,6 @@ int run(const Args& args) {
             << report.total_energy_pj * 1e-9 << " mJ, peak scratchpad "
             << static_cast<double>(report.peak_sram_bytes) / 1024.0
             << " KiB, sram_ok=" << (report.sram_ok ? "yes" : "no") << "\n";
-  if (args.critpath) {
-    // Bottleneck ranking: groups by cycle share, with each group's dominant
-    // critical-path task kind and its contention gap (schedule makespan
-    // minus the dependence-only critical path — cycles queueing would
-    // reclaim with more resources).
-    std::vector<std::size_t> order(report.groups.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return report.groups[a].cycles > report.groups[b].cycles;
-                     });
-    std::cout << "\ncritical-path bottlenecks (top "
-              << std::min<std::size_t>(order.size(), 5) << " of "
-              << order.size() << " groups):\n";
-    for (std::size_t rank = 0; rank < order.size() && rank < 5; ++rank) {
-      const core::GroupReport& group = report.groups[order[rank]];
-      const double share =
-          report.total_cycles == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(group.cycles) /
-                    static_cast<double>(report.total_cycles);
-      std::cout << "  " << group.label << ": " << group.cycles << " cycles ("
-                << share << "% of total), dominant kind "
-                << group.critpath.dominant_kind << ", contention gap "
-                << group.critpath.contention_gap << " cycles\n";
-    }
-  }
   if (args.metrics) {
     std::cout << "\nmetrics: " << snapshot.to_json() << "\n";
   }
