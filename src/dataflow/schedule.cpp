@@ -1,7 +1,7 @@
 #include "dataflow/schedule.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <initializer_list>
 
 #include "dataflow/tiling.hpp"
 #include "fabric/pe_array.hpp"
@@ -14,6 +14,7 @@ namespace {
 using sim::Task;
 using sim::TaskId;
 using sim::TaskKind;
+using sim::TaskTag;
 
 /// Sizes of successive passes covering `total` in steps of `chunk`.
 std::vector<Index> pass_sizes(Index total, Index chunk) {
@@ -107,11 +108,11 @@ class GroupBuilder {
  private:
   // ---- task helpers ----------------------------------------------------
 
-  TaskId add_load(std::string label, std::int64_t coded_bytes,
+  TaskId add_load(TaskTag tag, std::int64_t coded_bytes,
                   std::vector<TaskId> deps, std::int64_t alloc_bytes) {
     Task t;
     t.kind = TaskKind::DmaLoad;
-    t.label = std::move(label);
+    t.tag = tag;
     t.resources = {layout_.dram};
     t.duration = dram_.transfer_cycles(coded_bytes);
     t.deps = std::move(deps);
@@ -121,11 +122,11 @@ class GroupBuilder {
     return graph_.add(std::move(t));
   }
 
-  TaskId add_store(std::string label, std::int64_t coded_bytes,
+  TaskId add_store(TaskTag tag, std::int64_t coded_bytes,
                    std::vector<TaskId> deps, std::int64_t free_bytes) {
     Task t;
     t.kind = TaskKind::DmaStore;
-    t.label = std::move(label);
+    t.tag = tag;
     t.resources = {layout_.dram};
     t.duration = dram_.transfer_cycles(coded_bytes);
     t.deps = std::move(deps);
@@ -135,13 +136,13 @@ class GroupBuilder {
     return graph_.add(std::move(t));
   }
 
-  TaskId add_compress(std::string label, compress::CodecKind kind,
+  TaskId add_compress(TaskTag tag, compress::CodecKind kind,
                       std::int64_t raw_bytes, std::int64_t coded_bytes,
                       std::vector<TaskId> deps) {
     MOCHA_CHECK(layout_.codec >= 0, "compress task without codec engines");
     Task t;
     t.kind = TaskKind::Compress;
-    t.label = std::move(label);
+    t.tag = tag;
     t.resources = {layout_.codec};
     t.duration = codec_cycles(config_, kind, raw_bytes);
     t.deps = std::move(deps);
@@ -152,11 +153,11 @@ class GroupBuilder {
     return graph_.add(std::move(t));
   }
 
-  TaskId add_barrier(std::string label, std::vector<TaskId> deps,
+  TaskId add_barrier(TaskTag tag, std::vector<TaskId> deps,
                      std::int64_t free_bytes) {
     Task t;
     t.kind = TaskKind::Barrier;
-    t.label = std::move(label);
+    t.tag = tag;
     t.resources = {layout_.ctrl};
     t.duration = 0;
     t.deps = std::move(deps);
@@ -178,13 +179,13 @@ class GroupBuilder {
     std::int64_t sram_write_bytes = 0;
   };
 
-  TaskId add_compute(std::string label, const ComputeChunkSpec& spec,
+  TaskId add_compute(TaskTag tag, const ComputeChunkSpec& spec,
                      std::vector<TaskId> deps,
                      std::int64_t alloc_bytes = 0,
                      std::int64_t free_bytes = 0) {
     Task t;
     t.kind = TaskKind::Compute;
-    t.label = std::move(label);
+    t.tag = tag;
     t.resources = {layout_.pe};
     const std::uint64_t mac_cycles = compute_chunk_cycles(
         config_, spec.positions, spec.macs_per_position, pes_per_group_,
@@ -304,7 +305,7 @@ class GroupBuilder {
         w_deps.push_back(prev_prev_w_bar);
       }
       const TaskId w_load = add_load(
-          label("w_load", idx, mi), w_coded, std::move(w_deps), w_coded);
+          layer_tag("w_load", idx, {mi}), w_coded, std::move(w_deps), w_coded);
 
       std::vector<TaskId> pass_barrier_deps;
       // Batch images reuse the resident weights: the tile loop simply runs
@@ -324,23 +325,23 @@ class GroupBuilder {
           load_deps.push_back(prev_prev_tile_bar);
         }
         const TaskId if_load =
-            add_load(label("if_load", idx, mi, ti), if_coded,
+            add_load(layer_tag("if_load", idx, {mi, ti}), if_coded,
                      std::move(load_deps), if_coded + partial);
 
         const auto chunk_ids = emit_tile_computes(
             idx, geo, tm_eff, mpp, if_coded, w_coded, w_raw, if_elems,
-            {if_load}, label("comp", idx, mi, ti));
+            {if_load}, layer_tag("comp", idx, {mi, ti}));
 
-        const TaskId tile_bar =
-            add_barrier(label("tile_bar", idx, mi, ti), chunk_ids, if_coded);
+        const TaskId tile_bar = add_barrier(
+            layer_tag("tile_bar", idx, {mi, ti}), chunk_ids, if_coded);
         emit_store_path(idx, tm_eff * geo.out_positions(), chunk_ids, partial,
-                        label("store", idx, mi, ti), &pass_barrier_deps);
+                        layer_tag("store", idx, {mi, ti}), &pass_barrier_deps);
         pass_barrier_deps.push_back(tile_bar);
 
         prev_prev_tile_bar = prev_tile_bar;
         prev_tile_bar = tile_bar;
       }
-      const TaskId pass_bar = add_barrier(label("pass_bar", idx, mi),
+      const TaskId pass_bar = add_barrier(layer_tag("pass_bar", idx, {mi}),
                                           std::move(pass_barrier_deps), w_coded);
       prev_prev_w_bar = prev_w_bar;
       prev_w_bar = pass_bar;
@@ -392,7 +393,7 @@ class GroupBuilder {
           load_deps.push_back(prev_prev_tile_bar);
         }
         const TaskId if_load =
-            add_load(label("if_load", idx, tile_seq), if_coded,
+            add_load(layer_tag("if_load", idx, {tile_seq}), if_coded,
                      std::move(load_deps), if_coded);
 
         std::vector<TaskId> tile_bar_deps;
@@ -419,7 +420,7 @@ class GroupBuilder {
             // this map pass.
             const std::int64_t alloc = w_coded + (ci == 0 ? partial : 0);
             const TaskId w_load =
-                add_load(label("w_load", idx, tile_seq, mi, ci), w_coded,
+                add_load(layer_tag("w_load", idx, {tile_seq, mi, ci}), w_coded,
                          std::move(w_deps), alloc);
 
             // Extra scratchpad traffic for cross-pass accumulation.
@@ -434,23 +435,24 @@ class GroupBuilder {
                 idx, geo, tm_eff, tc_eff * kk,
                 if_coded / static_cast<Index>(c_passes.size()), w_coded,
                 w_raw, if_elems / static_cast<Index>(c_passes.size()), deps,
-                label("comp", idx, tile_seq, mi, ci),
+                layer_tag("comp", idx, {tile_seq, mi, ci}),
                 acc_rw, /*pos_scale=*/bb);
             const TaskId w_bar = add_barrier(
-                label("w_bar", idx, tile_seq, mi, ci), chunks, w_coded);
+                layer_tag("w_bar", idx, {tile_seq, mi, ci}), chunks, w_coded);
             prev_prev_w_bar = prev_w_bar;
             prev_w_bar = w_bar;
             prev_chunks = chunks;
             all_chunks.insert(all_chunks.end(), chunks.begin(), chunks.end());
           }
           emit_store_path(idx, bb * tm_eff * geo.out_positions(), prev_chunks,
-                          partial, label("store", idx, tile_seq, mi),
+                          partial, layer_tag("store", idx, {tile_seq, mi}),
                           &tile_bar_deps);
           tile_bar_deps.insert(tile_bar_deps.end(), all_chunks.begin(),
                                all_chunks.end());
         }
-        const TaskId tile_bar = add_barrier(label("tile_bar", idx, tile_seq),
-                                            std::move(tile_bar_deps), if_coded);
+        const TaskId tile_bar =
+            add_barrier(layer_tag("tile_bar", idx, {tile_seq}),
+                        std::move(tile_bar_deps), if_coded);
         prev_prev_tile_bar = prev_tile_bar;
         prev_tile_bar = tile_bar;
       }
@@ -492,7 +494,7 @@ class GroupBuilder {
         if (prev_prev_pass_bar != sim::kInvalidTask) {
           w_deps.push_back(prev_prev_pass_bar);
         }
-        w_load = add_load(label("w_load", idx, ci), w_coded,
+        w_load = add_load(layer_tag("w_load", idx, {ci}), w_coded,
                           std::move(w_deps), w_coded);
       }
 
@@ -512,25 +514,25 @@ class GroupBuilder {
           load_deps.push_back(prev_prev_bar);
         }
         if (w_load != sim::kInvalidTask) load_deps.push_back(w_load);
-        const TaskId if_load = add_load(label("if_load", idx, ci, ti),
+        const TaskId if_load = add_load(layer_tag("if_load", idx, {ci, ti}),
                                         if_coded, std::move(load_deps),
                                         if_coded + out_bytes);
 
         const auto chunks = emit_tile_computes(
             idx, geo, tm_eff, kk, if_coded, w_coded, w_raw,
-            if_elems, {if_load}, label("comp", idx, ci, ti));
+            if_elems, {if_load}, layer_tag("comp", idx, {ci, ti}));
 
         std::vector<TaskId> bar_deps = chunks;
         emit_store_path(idx, tm_eff * geo.out_positions(), chunks, out_bytes,
-                        label("store", idx, ci, ti), &bar_deps);
-        const TaskId bar = add_barrier(label("tile_bar", idx, ci, ti),
+                        layer_tag("store", idx, {ci, ti}), &bar_deps);
+        const TaskId bar = add_barrier(layer_tag("tile_bar", idx, {ci, ti}),
                                        std::move(bar_deps), if_coded);
         pass_bar_deps.push_back(bar);
         prev_prev_bar = prev_bar;
         prev_bar = bar;
       }
       if (dw) {
-        const TaskId pass_bar = add_barrier(label("pass_bar", idx, ci),
+        const TaskId pass_bar = add_barrier(layer_tag("pass_bar", idx, {ci}),
                                             std::move(pass_bar_deps), w_coded);
         prev_prev_pass_bar = prev_pass_bar;
         prev_pass_bar = pass_bar;
@@ -560,7 +562,7 @@ class GroupBuilder {
       const std::int64_t w_coded = kernel_coded(l, layer.weight_elems());
       w_coded_per_layer[l] = w_coded;
       weights_coded_total += w_coded;
-      weight_loads.push_back(add_load(label("w_load", l), w_coded,
+      weight_loads.push_back(add_load(layer_tag("w_load", l), w_coded,
                                       weight_loads.empty()
                                           ? std::vector<TaskId>{}
                                           : std::vector<TaskId>{weight_loads.back()},
@@ -600,7 +602,7 @@ class GroupBuilder {
       if (prev_prev_bar != sim::kInvalidTask) {
         load_deps.push_back(prev_prev_bar);
       }
-      const TaskId if_load = add_load(label("if_load", group_.first, ti),
+      const TaskId if_load = add_load(layer_tag("if_load", group_.first, {ti}),
                                       head_if_coded, std::move(load_deps),
                                       tile_bytes);
 
@@ -622,7 +624,7 @@ class GroupBuilder {
 
         const auto chunks = emit_fused_stage_computes(
             l, geo, mpp, is_head, in_stream_bytes, in_elems,
-            w_coded_per_layer[l], prev_stage, label("comp", l, ti));
+            w_coded_per_layer[l], prev_stage, layer_tag("comp", l, {ti}));
         prev_stage = chunks;
       }
 
@@ -630,14 +632,18 @@ class GroupBuilder {
       emit_store_path(group_.last,
                       tail.out_channels() * tail_geo.out_positions(),
                       prev_stage, /*free_raw_bytes=*/0,
-                      label("store", group_.last, ti), &bar_deps);
-      const TaskId bar = add_barrier(label("tile_bar", group_.last, ti),
+                      layer_tag("store", group_.last, {ti}), &bar_deps);
+      const TaskId bar = add_barrier(layer_tag("tile_bar", group_.last, {ti}),
                                      std::move(bar_deps), tile_bytes);
       final_bar_deps.push_back(bar);
       prev_prev_bar = prev_bar;
       prev_bar = bar;
     }
-    add_barrier("group_end", std::move(final_bar_deps), weights_coded_total);
+    // The group-wide barrier counts for the group head, without naming it.
+  TaskTag group_end;
+  group_end.role = "group_end";
+  group_end.layer = static_cast<std::int32_t>(group_.first);
+  add_barrier(group_end, std::move(final_bar_deps), weights_coded_total);
     // Two tiles are ever live (the depth-2 chain gates loads on the barrier
     // of tile t-2, which frees that tile first), plus resident weights and
     // any in-flight compressed store buffer.
@@ -653,7 +659,7 @@ class GroupBuilder {
       std::size_t idx, const TileGeometry& geo, Index tm_eff, Index mpp,
       std::int64_t if_stream_bytes, std::int64_t w_coded, std::int64_t w_raw,
       Index if_raw_elems, const std::vector<TaskId>& deps,
-      const std::string& base_label, std::int64_t extra_sram_rw = 0,
+      const TaskTag& pass_tag, std::int64_t extra_sram_rw = 0,
       Index pos_scale = 1) {
     const LayerPlan& plan = plan_.layers[idx];
     const auto map_parts = partition(tm_eff, plan.inter_groups);
@@ -693,9 +699,7 @@ class GroupBuilder {
         spec.sram_write_bytes =
             spec.positions * kValueBytes + extra_shares[chunk] / 2 +
             extra_shares[chunk] % 2;
-        std::ostringstream os;
-        os << base_label << ".g" << g << "s" << s;
-        chunk_ids.push_back(add_compute(os.str(), spec, deps));
+        chunk_ids.push_back(add_compute(chunk_tag(pass_tag, g, s), spec, deps));
       }
     }
     return chunk_ids;
@@ -707,7 +711,7 @@ class GroupBuilder {
   std::vector<TaskId> emit_fused_stage_computes(
       std::size_t idx, const TileGeometry& geo, Index mpp, bool is_head,
       std::int64_t in_stream_bytes, Index in_elems, std::int64_t w_coded,
-      const std::vector<TaskId>& deps, const std::string& base_label) {
+      const std::vector<TaskId>& deps, const TaskTag& pass_tag) {
     const nn::LayerSpec& layer = net_.layers[idx];
     const LayerPlan& plan = plan_.layers[idx];
     const Index tm_eff = layer.out_channels();
@@ -747,9 +751,7 @@ class GroupBuilder {
         spec.kernel_decode_raw = w_decode_shares[chunk];
         spec.sram_read_bytes = in_shares[chunk] + w_shares[chunk];
         spec.sram_write_bytes = spec.positions * kValueBytes;
-        std::ostringstream os;
-        os << base_label << ".g" << g << "s" << s;
-        chunk_ids.push_back(add_compute(os.str(), spec, deps));
+        chunk_ids.push_back(add_compute(chunk_tag(pass_tag, g, s), spec, deps));
       }
     }
     return chunk_ids;
@@ -759,34 +761,48 @@ class GroupBuilder {
   /// `free_raw_bytes` is released when the slice has left the scratchpad.
   void emit_store_path(std::size_t idx, Index out_elems,
                        const std::vector<TaskId>& producer_chunks,
-                       std::int64_t free_raw_bytes, const std::string& lbl,
+                       std::int64_t free_raw_bytes, const TaskTag& store_tag,
                        std::vector<TaskId>* completion_deps) {
     const std::int64_t raw_bytes = out_elems * kValueBytes;
     const std::int64_t coded = ofmap_coded(idx, out_elems);
     TaskId store;
     if (eff_ofmap_codec(idx) != compress::CodecKind::None) {
-      const TaskId compress = add_compress(lbl + ".pack", eff_ofmap_codec(idx),
+      TaskTag pack_tag = store_tag;
+      pack_tag.pack = true;
+      const TaskId compress = add_compress(pack_tag, eff_ofmap_codec(idx),
                                            raw_bytes, coded, producer_chunks);
-      store = add_store(lbl, coded, {compress}, free_raw_bytes + coded);
+      store = add_store(store_tag, coded, {compress}, free_raw_bytes + coded);
       // Up to two compress tasks (one per shared engine) can run while a
       // third coded buffer drains on the DRAM bus.
       store_buffer_bound_ = std::max(store_buffer_bound_, 4 * coded);
     } else {
-      store = add_store(lbl, coded, producer_chunks, free_raw_bytes);
+      store = add_store(store_tag, coded, producer_chunks, free_raw_bytes);
     }
     completion_deps->push_back(store);
   }
 
-  static std::string label(const char* base, std::size_t a,
-                           std::size_t b = static_cast<std::size_t>(-1),
-                           std::size_t c = static_cast<std::size_t>(-1),
-                           std::size_t d = static_cast<std::size_t>(-1)) {
-    std::ostringstream os;
-    os << base << ".L" << a;
-    if (b != static_cast<std::size_t>(-1)) os << "." << b;
-    if (c != static_cast<std::size_t>(-1)) os << "." << c;
-    if (d != static_cast<std::size_t>(-1)) os << "." << d;
-    return os.str();
+  /// Tag of "<role>.L<layer>" followed by up to three loop indices.
+  static TaskTag layer_tag(const char* role, std::size_t layer,
+                     std::initializer_list<std::size_t> indices = {}) {
+    MOCHA_CHECK(indices.size() <= TaskTag::kMaxIndices,
+                role << ": " << indices.size() << " loop indices");
+    TaskTag t;
+    t.role = role;
+    t.layer = static_cast<std::int32_t>(layer);
+    t.shows_layer = true;
+    for (std::size_t i : indices) {
+      t.indices[t.index_count++] = static_cast<std::uint32_t>(i);
+    }
+    return t;
+  }
+
+  /// The compute chunk (inter group g, intra slice s) of a tile pass.
+  static TaskTag chunk_tag(const TaskTag& pass_tag, std::size_t g,
+                           std::size_t s) {
+    TaskTag t = pass_tag;
+    t.chunk_g = static_cast<std::int32_t>(g);
+    t.chunk_s = static_cast<std::int32_t>(s);
+    return t;
   }
 
   const nn::Network& net_;

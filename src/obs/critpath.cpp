@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iomanip>
 #include <limits>
 #include <unordered_map>
 
@@ -23,36 +24,6 @@ constexpr TaskKind kAllKinds[] = {
     TaskKind::Compress, TaskKind::Compute,  TaskKind::Reconfig,
     TaskKind::Barrier,
 };
-
-// Kahn topological order. Ids are usually already topological (add()
-// forbids forward deps) but add_dep() accepts edges in either direction,
-// so the analysis never assumes id order.
-std::vector<TaskId> topo_order(const TaskGraph& graph) {
-  const std::size_t n = graph.size();
-  std::vector<int> indegree(n, 0);
-  std::vector<std::vector<TaskId>> dependents(n);
-  for (const Task& t : graph.tasks()) {
-    indegree[static_cast<std::size_t>(t.id)] =
-        static_cast<int>(t.deps.size());
-    for (TaskId dep : t.deps) {
-      dependents[static_cast<std::size_t>(dep)].push_back(t.id);
-    }
-  }
-  std::vector<TaskId> order;
-  order.reserve(n);
-  for (const Task& t : graph.tasks()) {
-    if (indegree[static_cast<std::size_t>(t.id)] == 0) order.push_back(t.id);
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (TaskId next : dependents[static_cast<std::size_t>(order[head])]) {
-      if (--indegree[static_cast<std::size_t>(next)] == 0) {
-        order.push_back(next);
-      }
-    }
-  }
-  MOCHA_CHECK(order.size() == n, "critpath: task graph has a cycle");
-  return order;
-}
 
 // CPM forward pass over dependence edges with the given durations:
 // earliest finish per task, ignoring resource capacities. The maximum is
@@ -146,7 +117,11 @@ CritPathReport analyze_critical_path(const sim::TaskGraph& graph,
     return report;
   }
 
-  const std::vector<TaskId> order = topo_order(graph);
+  // Ids are usually already topological (add() forbids forward deps) but
+  // add_dep() accepts edges in either direction, so the analysis walks the
+  // validating pass's order instead of assuming id order.
+  const std::vector<TaskId> order =
+      graph.validate(run.resources.size()).order;
   const std::vector<Cycle> durations = task_durations(graph);
   report.dep_critical_cycles = dep_critical_length(graph, order, durations);
   report.contention_gap = report.makespan - report.dep_critical_cycles;
@@ -172,7 +147,8 @@ CritPathReport analyze_critical_path(const sim::TaskGraph& graph,
   for (const Task& t : graph.tasks()) {
     const Cycle tail = t.start + remaining_chain[static_cast<std::size_t>(t.id)];
     MOCHA_CHECK(tail <= report.makespan,
-                "critpath: task '" << t.label << "' dependence chain exceeds "
+                "critpath: task '" << sim::task_label(t)
+                                   << "' dependence chain exceeds "
                                    << "the makespan — graph was not executed");
     report.slack[static_cast<std::size_t>(t.id)] = report.makespan - tail;
   }
@@ -396,15 +372,22 @@ WhatIf parse_what_if(const std::string& text) {
   const std::string tail = text.substr(pos + 1);
   char* end = nullptr;
   if (text[pos] == '+') {
-    const long add = std::strtol(tail.c_str(), &end, 10);
-    MOCHA_CHECK(end != nullptr && *end == '\0' && add > 0,
-                "bad what-if delta in '" << text << "'");
+    const long long add = std::strtoll(tail.c_str(), &end, 10);
+    MOCHA_CHECK(end != nullptr && *end == '\0' && add > 0 &&
+                    add <= std::numeric_limits<int>::max(),
+                "bad what-if delta in '"
+                    << text << "' (want 1.." << std::numeric_limits<int>::max()
+                    << ")");
     return what_if_capacity_add(head, static_cast<int>(add));
   }
+  // The scenario's name prints the factor with six decimals, so a smaller
+  // factor would be named as dividing or multiplying by 0.
+  constexpr double kMinFactor = 1e-6;
   const double factor = std::strtod(tail.c_str(), &end);
-  MOCHA_CHECK(end != nullptr && *end == '\0' && factor > 0.0 &&
+  MOCHA_CHECK(end != nullptr && *end == '\0' && factor >= kMinFactor &&
                   std::isfinite(factor),
-              "bad what-if factor in '" << text << "'");
+              "bad what-if factor in '" << text << "' (want a finite factor >= "
+                                        << kMinFactor << ")");
   if (text[pos] == '*') return what_if_capacity_scale(head, factor);
   for (TaskKind kind : kAllKinds) {
     if (head == sim::task_kind_name(kind)) return what_if_speed(kind, factor);
@@ -437,9 +420,17 @@ WhatIfOutcome evaluate_what_if(const sim::TaskGraph& graph,
       for (sim::ResourceSpec& s : specs) {
         if (s.name != spec.resource) continue;
         outcome.applicable = true;
-        const long long scaled =
-            std::llround(static_cast<double>(s.capacity) * spec.cap_scale);
-        s.capacity = std::max(1, static_cast<int>(scaled) + spec.cap_add);
+        // Computed in double (exact for any int-sized result) so a capacity
+        // beyond int is refused instead of wrapping.
+        const double capacity =
+            std::round(static_cast<double>(s.capacity) * spec.cap_scale) +
+            spec.cap_add;
+        MOCHA_CHECK(capacity <= std::numeric_limits<int>::max(),
+                    "what-if '" << spec.name << "': " << s.name
+                                << " capacity " << std::fixed
+                                << std::setprecision(0) << capacity
+                                << " does not fit an int");
+        s.capacity = std::max(1, static_cast<int>(capacity));
       }
       break;
     }
@@ -448,8 +439,15 @@ WhatIfOutcome evaluate_what_if(const sim::TaskGraph& graph,
       for (const Task& t : graph.tasks()) {
         if (t.kind != spec.task_kind || t.duration == 0) continue;
         outcome.applicable = true;
-        durations[static_cast<std::size_t>(t.id)] = static_cast<Cycle>(
-            std::ceil(static_cast<double>(t.duration) / spec.speed_factor));
+        const double scaled =
+            std::ceil(static_cast<double>(t.duration) / spec.speed_factor);
+        constexpr double kCycleLimit = 0x1p64;  // 2^64: first value past Cycle
+        MOCHA_CHECK(scaled < kCycleLimit,
+                    "what-if '" << spec.name << "': task '"
+                                << sim::task_label(t) << "' would take "
+                                << std::fixed << std::setprecision(0)
+                                << scaled << " cycles, past the cycle counter");
+        durations[static_cast<std::size_t>(t.id)] = static_cast<Cycle>(scaled);
       }
       break;
     }
@@ -465,7 +463,7 @@ WhatIfOutcome evaluate_what_if(const sim::TaskGraph& graph,
     outcome.exact = true;
     return outcome;
   }
-  const std::vector<TaskId> order = topo_order(graph);
+  const std::vector<TaskId> order = graph.validate(specs.size()).order;
   const Cycle dep_cp = dep_critical_length(graph, order, durations);
   const std::vector<Cycle> busy =
       resource_work(graph, specs.size(), durations);

@@ -146,8 +146,9 @@ WhatIf what_if_speed(sim::TaskKind kind, double factor);
 
 /// Parses the CLI grammar: "unbounded" | "RES+N" | "RES*K" | "KIND/F"
 /// where RES is a resource name ("dram_channels"), KIND a task-kind name
-/// ("reconfig"), N a positive integer, K and F factors > 1. Throws
-/// util::CheckFailure on malformed input.
+/// ("reconfig"), N an integer in [1, INT_MAX], K and F finite factors of
+/// at least 1e-6 (the name prints six decimals). Throws util::CheckFailure
+/// on malformed or out-of-range input.
 WhatIf parse_what_if(const std::string& text);
 
 /// Prediction vs engine replay for one scenario on one graph.
@@ -174,6 +175,8 @@ struct WhatIfOutcome {
 
 /// Applies `spec` to a copy of `graph`, computes the analytic bounds, and
 /// replays the engine with the modified ResourceSpec list / durations.
+/// Throws util::CheckFailure, naming the scenario, when a scaled capacity
+/// does not fit an int or a scaled duration does not fit a Cycle.
 WhatIfOutcome evaluate_what_if(const sim::TaskGraph& graph,
                                const sim::RunResult& run, const WhatIf& spec);
 

@@ -51,7 +51,7 @@ std::string to_dot(const TaskGraph& graph,
   }
   for (std::size_t i = 0; i < n; ++i) {
     const Task& t = graph.task(static_cast<TaskId>(i));
-    os << "  t" << t.id << " [label=\"" << escape(t.label) << "\\n"
+    os << "  t" << t.id << " [label=\"" << escape(task_label(t)) << "\\n"
        << task_kind_name(t.kind) << " d=" << t.duration;
     if (t.finish > 0 || t.start > 0) {
       os << " [" << t.start << "," << t.finish << ")";

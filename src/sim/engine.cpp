@@ -27,26 +27,16 @@ Engine::Engine(std::vector<ResourceSpec> resources)
 }
 
 RunResult Engine::run(TaskGraph& graph, bool detailed) const {
-  graph.validate();
-  for (const Task& t : graph.tasks()) {
-    for (ResourceId r : t.resources) {
-      MOCHA_CHECK(static_cast<std::size_t>(r) < resources_.size(),
-                  "task '" << t.label << "' bound to unknown resource " << r);
-    }
-  }
+  const DependentsIndex dependents = graph.validate(resources_.size());
 
   RunResult result;
   result.resources = resources_;
   result.resource_busy_cycles.assign(resources_.size(), 0);
   if (graph.empty()) return result;
 
-  std::vector<std::vector<TaskId>> dependents(graph.size());
   std::vector<int> waiting(graph.size(), 0);
   for (const Task& t : graph.tasks()) {
     waiting[static_cast<std::size_t>(t.id)] = static_cast<int>(t.deps.size());
-    for (TaskId dep : t.deps) {
-      dependents[static_cast<std::size_t>(dep)].push_back(t.id);
-    }
   }
 
   // Single ready set ordered by task id: the dispatcher greedily starts, in
@@ -97,19 +87,21 @@ RunResult Engine::run(TaskGraph& graph, bool detailed) const {
         ++it;
         continue;
       }
-      if (detailed) t.units.assign(t.resources.size(), 0);
-      for (std::size_t ri = 0; ri < t.resources.size(); ++ri) {
-        const auto r = static_cast<std::size_t>(t.resources[ri]);
+      if (detailed) t.units.clear();
+      for (ResourceId resource : t.resources) {
+        const auto r = static_cast<std::size_t>(resource);
         --free_units[r];
         if (!detailed) continue;
         std::vector<char>& busy = unit_busy[r];
+        int unit = 0;
         for (std::size_t u = 0; u < busy.size(); ++u) {
           if (busy[u] == 0) {
             busy[u] = 1;
-            t.units[ri] = static_cast<int>(u);
+            unit = static_cast<int>(u);
             break;
           }
         }
+        t.units.push_back(unit);
       }
       t.start = now;
       t.finish = now + t.duration;
@@ -130,10 +122,11 @@ RunResult Engine::run(TaskGraph& graph, bool detailed) const {
     }
     sram_now -= t.sram_free_bytes;
     MOCHA_CHECK(sram_now >= 0,
-                "scratchpad balance negative after task '" << t.label << "'");
+                "scratchpad balance negative after task '" << task_label(t)
+                                                           << "'");
     result.totals += t.actions;
     ++completed;
-    for (TaskId next : dependents[static_cast<std::size_t>(id)]) {
+    for (TaskId next : dependents.of(id)) {
       if (--waiting[static_cast<std::size_t>(next)] == 0) ready.insert(next);
     }
   };

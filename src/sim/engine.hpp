@@ -52,13 +52,14 @@ class Engine {
 
   /// Executes the graph to completion; fills each task's start/finish and
   /// returns aggregate statistics. The graph is validated (acyclic, bound
-  /// resources in range) first.
+  /// resources in range) first, and that pass's dependents index drives
+  /// the run.
   ///
   /// `detailed` additionally assigns each task its exclusive resource-unit
   /// lane (Task::units, needed by the tracer) and fills the queue-wait
   /// histogram. Off by default: the planner simulates thousands of
   /// candidate graphs that only need the aggregate numbers, and the
-  /// per-task extras (one allocation per dispatch plus a post-hoc pass)
+  /// per-task extras (a unit-lane scan per dispatch plus a post-hoc pass)
   /// cost real time at that volume. The accelerator's committed runs
   /// request it.
   RunResult run(TaskGraph& graph, bool detailed = false) const;

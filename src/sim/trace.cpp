@@ -23,8 +23,10 @@ void emit_trace(const TaskGraph& graph, const std::vector<ResourceSpec>& specs,
   for (const Task& t : graph.tasks()) {
     if (t.duration == 0) continue;  // barriers carry no occupancy
     MOCHA_CHECK(t.units.size() == t.resources.size(),
-                "task '" << t.label << "' has no unit assignment — emit_trace "
+                "task '" << task_label(t)
+                         << "' has no unit assignment — emit_trace "
                          << "needs an executed graph");
+    const std::string label = task_label(t);
     for (std::size_t ri = 0; ri < t.resources.size(); ++ri) {
       const ResourceSpec& spec =
           specs[static_cast<std::size_t>(t.resources[ri])];
@@ -32,7 +34,7 @@ void emit_trace(const TaskGraph& graph, const std::vector<ResourceSpec>& specs,
           spec.capacity == 1
               ? spec.name
               : spec.name + "[" + std::to_string(t.units[ri]) + "]";
-      session->sim_event(lane, t.label, task_kind_name(t.kind), t.start,
+      session->sim_event(lane, label, task_kind_name(t.kind), t.start,
                          t.duration, options.group, t.id);
     }
   }

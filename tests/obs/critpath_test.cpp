@@ -28,12 +28,12 @@ using sim::TaskGraph;
 using sim::TaskId;
 using sim::TaskKind;
 
-Task make_task(std::vector<sim::ResourceId> resources, Cycle duration,
-               std::vector<TaskId> deps = {},
+Task make_task(std::initializer_list<sim::ResourceId> resources,
+               Cycle duration, std::vector<TaskId> deps = {},
                TaskKind kind = TaskKind::Compute) {
   Task t;
   t.kind = kind;
-  t.resources = std::move(resources);
+  t.resources = resources;
   t.duration = duration;
   t.deps = std::move(deps);
   return t;
@@ -266,6 +266,39 @@ TEST(CritPath, ParseWhatIfGrammar) {
   EXPECT_THROW(parse_what_if("dram_channels+0"), CheckFailure);
   EXPECT_THROW(parse_what_if("dram_channels*nope"), CheckFailure);
   EXPECT_THROW(parse_what_if("no_such_kind/2"), CheckFailure);
+
+  // Values the scenario cannot represent are refused, never wrapped.
+  EXPECT_EQ(parse_what_if("dram_channels+2147483647").cap_add, 2147483647);
+  EXPECT_THROW(parse_what_if("dram_channels+2147483648"), CheckFailure);
+  EXPECT_THROW(parse_what_if("dram_channels+4294967297"), CheckFailure);
+  EXPECT_THROW(parse_what_if("dram_channels+99999999999999999999"),
+               CheckFailure);
+  EXPECT_EQ(parse_what_if("compute/0.000001").name, "compute/0.000001");
+  EXPECT_THROW(parse_what_if("compute/1e-7"), CheckFailure);
+  EXPECT_THROW(parse_what_if("compute/1e-300"), CheckFailure);
+  EXPECT_THROW(parse_what_if("dram_channels*1e-7"), CheckFailure);
+}
+
+TEST(CritPath, WhatIfBeyondIntOrCycleRefused) {
+  Engine engine({{"r", 1}});
+  TaskGraph graph;
+  graph.add(make_task({0}, Cycle{1} << 50));
+  const RunResult run = engine.run(graph);
+  // 1 + INT_MAX units, 3e9 units, and 2^50 cycles x 10^6 do not fit.
+  EXPECT_THROW(evaluate_what_if(graph, run, parse_what_if("r+2147483647")),
+               CheckFailure);
+  EXPECT_THROW(evaluate_what_if(graph, run, parse_what_if("r*3e9")),
+               CheckFailure);
+  EXPECT_THROW(
+      evaluate_what_if(graph, run, parse_what_if("compute/0.000001")),
+      CheckFailure);
+  // The largest representable scenarios still replay.
+  EXPECT_EQ(evaluate_what_if(graph, run, parse_what_if("r+2147483646"))
+                .replayed,
+            run.makespan);
+  EXPECT_EQ(evaluate_what_if(graph, run, parse_what_if("compute/0.001"))
+                .replayed,
+            run.makespan * 1000);
 }
 
 // ---- executed schedules from the real builder --------------------------

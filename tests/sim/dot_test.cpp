@@ -9,13 +9,13 @@ TaskGraph small_graph() {
   TaskGraph graph;
   Task load;
   load.kind = TaskKind::DmaLoad;
-  load.label = "load \"tile\"";
+  load.tag.role = "load \"tile\"";
   load.resources = {0};
   load.duration = 10;
   const TaskId a = graph.add(std::move(load));
   Task compute;
   compute.kind = TaskKind::Compute;
-  compute.label = "comp";
+  compute.tag.role = "comp";
   compute.resources = {1};
   compute.duration = 20;
   compute.deps = {a};
@@ -54,7 +54,7 @@ TEST(Dot, TruncatesHugeGraphs) {
   TaskGraph graph;
   for (int i = 0; i < 50; ++i) {
     Task t;
-    t.label = "t";
+    t.tag.role = "t";
     t.resources = {0};
     t.duration = 1;
     graph.add(std::move(t));

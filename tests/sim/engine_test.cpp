@@ -8,10 +8,10 @@
 namespace mocha::sim {
 namespace {
 
-Task make_task(std::vector<ResourceId> resources, Cycle duration,
+Task make_task(std::initializer_list<ResourceId> resources, Cycle duration,
                std::vector<TaskId> deps = {}) {
   Task t;
-  t.resources = std::move(resources);
+  t.resources = resources;
   t.duration = duration;
   t.deps = std::move(deps);
   return t;
@@ -188,6 +188,20 @@ TEST(Engine, UnknownResourceRejected) {
   TaskGraph graph;
   graph.add(make_task({3}, 1));
   EXPECT_THROW(engine.run(graph), util::CheckFailure);
+}
+
+TEST(Engine, BackEdgeCycleRejectedByEveryConsumer) {
+  Engine engine({{"r", 2}});
+  TaskGraph graph;
+  const TaskId a = graph.add(make_task({0}, 3));
+  const TaskId b = graph.add(make_task({0}, 4, {a}));
+  const TaskId c = graph.add(make_task({0}, 5, {b}));
+  const RunResult run = engine.run(graph);
+  // add_dep accepts edges against id order; this one closes a -> b -> c -> a.
+  graph.add_dep(c, a);
+  EXPECT_THROW(graph.validate(), util::CheckFailure);
+  EXPECT_THROW(engine.run(graph), util::CheckFailure);
+  EXPECT_THROW(obs::analyze_critical_path(graph, run), util::CheckFailure);
 }
 
 TEST(Engine, ZeroCapacityResourceRejected) {

@@ -5,9 +5,9 @@
 namespace mocha::sim {
 namespace {
 
-Task make_task(const std::string& label, Cycle duration = 1) {
+Task make_task(const char* label, Cycle duration = 1) {
   Task t;
-  t.label = label;
+  t.tag.role = label;
   t.resources = {0};
   t.duration = duration;
   return t;
@@ -18,7 +18,7 @@ TEST(TaskGraph, IdsAreDense) {
   EXPECT_EQ(graph.add(make_task("a")), 0);
   EXPECT_EQ(graph.add(make_task("b")), 1);
   EXPECT_EQ(graph.size(), 2u);
-  EXPECT_EQ(graph.task(1).label, "b");
+  EXPECT_EQ(task_label(graph.task(1)), "b");
 }
 
 TEST(TaskGraph, AddDepLinks) {
@@ -75,9 +75,27 @@ TEST(TaskGraph, ValidateDetectsCycle) {
 TEST(TaskGraph, ValidateRequiresResource) {
   TaskGraph graph;
   Task t;
-  t.label = "unbound";
+  t.tag.role = "unbound";
   graph.add(std::move(t));
   EXPECT_THROW(graph.validate(), util::CheckFailure);
+}
+
+TEST(TaskGraph, TooManyResourcesRejectedAtAdd) {
+  TaskGraph graph;
+  Task wide = make_task("wide");
+  for (ResourceId r = 1; r <= static_cast<ResourceId>(kMaxTaskResources); ++r) {
+    wide.resources.push_back(r);
+  }
+  EXPECT_TRUE(wide.resources.overflowed());
+  EXPECT_THROW(graph.add(std::move(wide)), util::CheckFailure);
+  EXPECT_TRUE(graph.empty());
+
+  Task full = make_task("full");
+  for (ResourceId r = 1; r < static_cast<ResourceId>(kMaxTaskResources); ++r) {
+    full.resources.push_back(r);
+  }
+  EXPECT_EQ(full.resources.size(), kMaxTaskResources);
+  EXPECT_EQ(graph.add(std::move(full)), 0);
 }
 
 TEST(TaskGraph, EmptyGraphValid) {

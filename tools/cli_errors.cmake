@@ -58,6 +58,8 @@ expect_rejected(${SIM} "usage" --what-if)               # missing value
 expect_rejected(${SIM} "usage" --what-if dram+0 --critpath-out cp.json)  # add must be positive
 expect_rejected(${SIM} "usage" --what-if pe_groups*0 --critpath-out cp.json)  # zero scale
 expect_rejected(${SIM} "usage" --what-if bogus/2 --critpath-out cp.json)  # unknown task kind
+expect_rejected(${SIM} "usage" --what-if dram_channels+4294967297 --critpath-out cp.json)  # beyond int
+expect_rejected(${SIM} "usage" --what-if compute/1e-7 --critpath-out cp.json)  # named as /0
 expect_rejected(${SIM} "usage" --top-k 0 --critpath-out cp.json)
 expect_rejected(${SIM} "requires --critpath-out" --what-if unbounded)
 expect_rejected(${SIM} "requires --critpath-out" --top-k 3)

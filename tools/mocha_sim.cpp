@@ -29,7 +29,6 @@
 // documented tolerance admits no slack).
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -181,22 +180,6 @@ Args parse(int argc, char** argv) {
   return args;
 }
 
-/// Layer index encoded in a builder task label ("comp.L3.0.1" -> 3); tasks
-/// without the marker (group barriers) attribute to the group head.
-std::size_t label_layer(const std::string& label, std::size_t fallback,
-                        std::size_t layer_count) {
-  const std::size_t pos = label.find(".L");
-  if (pos == std::string::npos) return fallback;
-  const char* begin = label.c_str() + pos + 2;
-  char* end = nullptr;
-  const long value = std::strtol(begin, &end, 10);
-  if (end == begin || value < 0 ||
-      static_cast<std::size_t>(value) >= layer_count) {
-    return fallback;
-  }
-  return static_cast<std::size_t>(value);
-}
-
 /// What --critpath-out keeps of one executed fusion group.
 struct CritGroup {
   /// One step of the schedule-critical chain and the layer it counts for.
@@ -222,18 +205,22 @@ struct CritPath {
   std::vector<Cycle> layer_critical;  // critical-chain cycles per layer
 
   void add(const mocha::dataflow::BuiltSchedule& built,
-           const mocha::sim::RunResult& run, std::size_t first_layer,
-           std::int64_t reconfig_cycles) {
+           const mocha::sim::RunResult& run, std::int64_t reconfig_cycles) {
     CritGroup group;
     group.reconfig_cycles = reconfig_cycles;
     group.report = mocha::obs::analyze_critical_path(built.graph, run);
     for (const mocha::obs::CritStep& step : group.report.path) {
       const mocha::sim::Task& task = built.graph.task(step.task);
-      const std::size_t layer =
-          label_layer(task.label, first_layer, layer_critical.size());
-      layer_critical[layer] += task.finish - task.start;
-      group.steps.push_back(
-          {task.kind, task.label, layer, task.start, task.finish});
+      const std::int32_t layer = task.tag.layer;
+      MOCHA_CHECK(layer >= 0 &&
+                      static_cast<std::size_t>(layer) < layer_critical.size(),
+                  "critical task '" << mocha::sim::task_label(task)
+                                    << "' has no layer");
+      layer_critical[static_cast<std::size_t>(layer)] +=
+          task.finish - task.start;
+      group.steps.push_back({task.kind, mocha::sim::task_label(task),
+                             static_cast<std::size_t>(layer), task.start,
+                             task.finish});
     }
     for (const mocha::obs::WhatIf& spec : what_ifs) {
       group.outcomes.push_back(
@@ -615,9 +602,9 @@ int run(const Args& args) {
           dot_tasks = built.graph.size();
         }
         if (critpath_mode) {
-          const std::size_t first = groups[gi].first;
-          crit.add(built, run, first,
-                   core::group_reconfig_cycles(acc.config(), plan, first));
+          crit.add(built, run,
+                   core::group_reconfig_cycles(acc.config(), plan,
+                                               groups[gi].first));
         }
       };
     }
