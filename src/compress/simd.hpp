@@ -1,11 +1,12 @@
-// Dispatched scan primitives for the codec hot loops, behind the same
-// runtime ISA switch as the nn microkernels (util/cpuid.hpp).
+// Dispatched primitives for the codec hot loops, behind the same runtime
+// ISA switch as the nn microkernels (util/cpuid.hpp).
 //
-// The codecs own all stream framing and token layout; these primitives only
-// answer "how long is the zero / nonzero run starting here", so an ISA
-// variant can never change a coded byte — the token stream a vectorized
-// encoder emits is byte-for-byte the scalar one. The per-ISA equivalence
-// suite in tests/compress/isa_equivalence_test.cpp enforces this.
+// The codecs own all stream framing and token layout. The run scans only
+// answer "how long is the zero / nonzero run starting here", and the
+// bitmask pair packs and expands whole mask bytes in the one layout
+// BitmaskCodec defines, so an ISA variant can never change a coded byte.
+// The per-ISA equivalence suite in tests/compress/isa_equivalence_test.cpp
+// enforces this.
 //
 // ISA translation units must stay intrinsics-only (no STL, no MOCHA_CHECK);
 // see nn/kernels_ops.hpp for the ODR rationale.
@@ -27,7 +28,27 @@ struct CodecOps {
 
   /// Length of the nonzero run starting at p, capped at n.
   std::size_t (*nonzero_run)(const nn::Value* p, std::size_t n);
+
+  /// Bitmask-packs n values, n % 8 == 0: writes n/8 mask bytes (bit j of
+  /// byte b set <=> values[8b+j] != 0) and the non-zeros, in order, as
+  /// 16-bit little-endian words to `data`. Returns the words written.
+  /// `data` must extend kBitmaskPackSlack bytes past the last word: vector
+  /// variants store whole registers.
+  std::size_t (*bitmask_pack)(const nn::Value* values, std::size_t n,
+                              std::uint8_t* mask, std::uint8_t* data);
+
+  /// Expands 8*mask_bytes values into `out` (0 where a mask bit is clear,
+  /// the next word of `data` where it is set). Returns the payload bytes
+  /// consumed. The caller has checked that data_len covers every set bit;
+  /// no variant reads past data + data_len.
+  std::size_t (*bitmask_unpack)(const std::uint8_t* mask,
+                                std::size_t mask_bytes,
+                                const std::uint8_t* data,
+                                std::size_t data_len, nn::Value* out);
 };
+
+/// Bytes bitmask_pack may write past its last word.
+inline constexpr std::size_t kBitmaskPackSlack = 16;
 
 /// The always-present oracle variant.
 const CodecOps& scalar_codec_ops();

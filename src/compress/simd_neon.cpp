@@ -43,14 +43,20 @@ std::size_t nonzero_run_neon(const nn::Value* p, std::size_t n) {
   return i;
 }
 
-constexpr CodecOps kNeonOps = {
-    util::KernelIsa::Neon,
-    zero_run_neon,
-    nonzero_run_neon,
-};
-
 }  // namespace
 
-const CodecOps& neon_codec_ops() { return kNeonOps; }
+// The bitmask pack/unpack pair runs the scalar oracle on NEON: with no
+// AArch64 toolchain or CI to build and test a vector variant against it,
+// a NEON pack/unpack is left for a follow-up.
+const CodecOps& neon_codec_ops() {
+  static const CodecOps ops = {
+      util::KernelIsa::Neon,
+      zero_run_neon,
+      nonzero_run_neon,
+      scalar_codec_ops().bitmask_pack,
+      scalar_codec_ops().bitmask_unpack,
+  };
+  return ops;
+}
 
 }  // namespace mocha::compress

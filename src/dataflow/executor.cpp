@@ -31,9 +31,11 @@ std::int64_t measure_coded_bytes(const compress::Codec& codec,
   if (verify) {
     const std::vector<Value> back = codec.decode(coded, values.size());
     MOCHA_CHECK(back.size() == values.size(), "codec changed stream length");
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      MOCHA_CHECK(back[i] == values[i],
-                  codec.name() << " round trip mismatch at " << i);
+    if (!std::equal(values.begin(), values.end(), back.begin())) {
+      const auto diff =
+          std::mismatch(values.begin(), values.end(), back.begin()).first;
+      MOCHA_CHECK(false, codec.name() << " round trip mismatch at "
+                                      << (diff - values.begin()));
     }
   }
   MOCHA_METRIC_ADD("executor.codec_bytes_in",

@@ -49,13 +49,21 @@ std::vector<Value> random_stream(std::size_t n, double sparsity,
 
 /// Streams that aim at the vector-scan edges: run boundaries on and around
 /// the 8/16-lane widths, the 256-element ZRLE run split, extreme values,
-/// and degenerate all-zero / all-nonzero inputs.
+/// and degenerate all-zero / all-nonzero inputs. Lengths 24, 40, 4104 and
+/// 4111 leave the 16-lane bitmask pack an 8-lane step (and 4111 a sub-8
+/// tail); an all-nonzero stream whose length is a multiple of 8 ends with
+/// a 16-byte unpack load that ends exactly at the payload's end.
 std::vector<std::vector<Value>> adversarial_streams() {
   std::vector<std::vector<Value>> streams;
-  for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 33u, 255u,
-                        256u, 257u, 511u, 513u, 1000u}) {
+  for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 24u, 31u, 33u,
+                        40u, 255u, 256u, 257u, 511u, 513u, 1000u, 4104u,
+                        4111u}) {
     streams.emplace_back(n, Value{0});          // all zero (runs > 256)
     streams.emplace_back(n, Value{-32768});     // all nonzero, INT16_MIN
+  }
+  std::uint64_t seed = 101;
+  for (std::size_t n : {24u, 40u, 4104u, 4111u}) {
+    streams.push_back(random_stream(n, 0.0, seed++));  // all nonzero, mixed
   }
   {
     std::vector<Value> alt(300);
@@ -123,7 +131,10 @@ TEST(CodecIsaEquivalence, CodedBytesMatchScalarOracle) {
         ASSERT_EQ(coded, oracle[slot])
             << codec_name(kind) << " under " << util::isa_name(isa)
             << " diverged from scalar on stream of " << stream.size();
-        EXPECT_EQ(codec->decode(coded, stream.size()), stream)
+        // encode() may return spare capacity past the payload; decoding an
+        // exact-size copy lets ASan flag any load past the payload's end.
+        const std::vector<std::uint8_t> exact(coded);
+        EXPECT_EQ(codec->decode(exact, stream.size()), stream)
             << codec_name(kind) << " round trip under "
             << util::isa_name(isa);
         ++slot;
@@ -178,6 +189,49 @@ TEST(CodecIsaEquivalence, RunScanPrimitivesMatchScalar) {
         ASSERT_EQ(ops.nonzero_run(buf.data() + start, n),
                   oracle.nonzero_run(buf.data() + start, n))
             << util::isa_name(isa) << " nonzero_run at " << start;
+      }
+    }
+  }
+}
+
+TEST(CodecIsaEquivalence, BitmaskPrimitivesMatchScalar) {
+  const CodecOps& oracle = scalar_codec_ops();
+  for (util::KernelIsa isa : util::supported_isas()) {
+    const CodecOps& ops = codec_ops_for(isa);
+    std::uint64_t seed = 99;
+    for (std::size_t n = 0; n <= 264; n += 8) {
+      for (double sparsity : {0.0, 0.2, 0.5, 1.0}) {
+        const auto values = random_stream(n, sparsity, seed++);
+        const auto nonzeros = static_cast<std::size_t>(
+            std::count_if(values.begin(), values.end(),
+                          [](Value v) { return v != 0; }));
+        // Exact-size buffers: under ASan, a store past the documented
+        // slack or a load past the payload fails the test.
+        std::vector<std::uint8_t> want_mask(n / 8);
+        std::vector<std::uint8_t> got_mask(n / 8);
+        std::vector<std::uint8_t> want_data(2 * nonzeros + kBitmaskPackSlack);
+        std::vector<std::uint8_t> got_data(want_data.size());
+        ASSERT_EQ(oracle.bitmask_pack(values.data(), n, want_mask.data(),
+                                      want_data.data()),
+                  nonzeros);
+        ASSERT_EQ(ops.bitmask_pack(values.data(), n, got_mask.data(),
+                                   got_data.data()),
+                  nonzeros)
+            << util::isa_name(isa) << " pack of " << n;
+        ASSERT_EQ(got_mask, want_mask)
+            << util::isa_name(isa) << " mask of " << n;
+        ASSERT_TRUE(std::equal(want_data.begin(),
+                               want_data.begin() + 2 * nonzeros,
+                               got_data.begin()))
+            << util::isa_name(isa) << " words of " << n;
+        const std::vector<std::uint8_t> payload(
+            want_data.begin(), want_data.begin() + 2 * nonzeros);
+        std::vector<Value> back(n, Value{1});  // every lane must be written
+        ASSERT_EQ(ops.bitmask_unpack(want_mask.data(), n / 8, payload.data(),
+                                     payload.size(), back.data()),
+                  payload.size())
+            << util::isa_name(isa) << " unpack of " << n;
+        ASSERT_EQ(back, values) << util::isa_name(isa) << " unpack of " << n;
       }
     }
   }

@@ -8,6 +8,8 @@
 // move, within the estimator's documented tolerance.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "dataflow/executor.hpp"
 #include "dataflow/schedule.hpp"
 #include "nn/generate.hpp"
@@ -20,11 +22,19 @@ using dataflow::LayerStreamStats;
 using dataflow::NetworkPlan;
 using nn::Index;
 
+// No padding, so the case's ctest name (built from its raw bytes) holds no
+// stack garbage; `zero` fills the slot between `codec` and `th`.
 struct CrossCase {
+  CrossCase(double s, compress::CodecKind c, Index t)
+      : sparsity(s), codec(c), th(t) {}
   double sparsity;
   compress::CodecKind codec;
+  std::int32_t zero = 0;
   Index th;
 };
+static_assert(sizeof(CrossCase) == sizeof(double) +
+                                       sizeof(compress::CodecKind) +
+                                       sizeof(std::int32_t) + sizeof(Index));
 
 class StreamCrossCheck : public ::testing::TestWithParam<CrossCase> {};
 

@@ -8,6 +8,8 @@
 //   * the analytical cost model's DRAM prediction tracks the simulation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "dataflow/cost.hpp"
 #include "dataflow/schedule.hpp"
 #include "dataflow/tiling.hpp"
@@ -21,11 +23,20 @@ using dataflow::LoopOrder;
 using dataflow::NetworkPlan;
 using nn::Index;
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: uninitialized padding would put stack garbage into
+// the test names and change them from build to build. `zero` and `zero2`
+// fill the slots the compiler would otherwise pad.
 struct SweepCase {
+  SweepCase(int n, std::size_t l, int s) : net_id(n), layer(l), shape(s) {}
   int net_id;           // 0 = alexnet, 1 = nin
+  std::int32_t zero = 0;
   std::size_t layer;    // layer index within the network
   int shape;            // plan-shape variant
+  std::int32_t zero2 = 0;
 };
+static_assert(sizeof(SweepCase) ==
+              2 * sizeof(int) + 2 * sizeof(std::int32_t) + sizeof(std::size_t));
 
 nn::Network sweep_network(int net_id) {
   return net_id == 0 ? nn::make_alexnet() : nn::make_nin();
