@@ -81,7 +81,8 @@ void conv_interior(benchmark::State& state, util::KernelIsa isa,
       kernels::PaddedInput::full(s.input, s.layer.in_h, s.layer.in_w);
   for (auto _ : state) {
     kernels::run_layer_region(s.layer, in, s.weights, {0, s.layer.out_h()},
-                              {0, s.layer.out_w()}, Quant{}, &s.out, 0, 0);
+                              {0, s.layer.out_w()}, 0, s.layer.out_channels(),
+                              Quant{}, &s.out, 0, 0);
     benchmark::DoNotOptimize(s.out.data());
   }
   state.SetItemsProcessed(state.iterations() * s.layer.macs());
@@ -101,7 +102,8 @@ void conv_border(benchmark::State& state, util::KernelIsa isa,
   ValueTensor row_out({1, s.layer.out_channels(), 1, s.layer.out_w()});
   for (auto _ : state) {
     kernels::run_layer_region(s.layer, in, s.weights, {0, 1},
-                              {0, s.layer.out_w()}, Quant{}, &row_out, 0, 0);
+                              {0, s.layer.out_w()}, 0, s.layer.out_channels(),
+                              Quant{}, &row_out, 0, 0);
     benchmark::DoNotOptimize(row_out.data());
   }
   state.SetItemsProcessed(state.iterations() * s.layer.macs() /
@@ -131,7 +133,8 @@ std::vector<ValueTensor> run_all_once(util::KernelIsa isa) {
     const kernels::PaddedInput in =
         kernels::PaddedInput::full(c.input, c.layer.in_h, c.layer.in_w);
     kernels::run_layer_region(c.layer, in, c.weights, {0, c.layer.out_h()},
-                              {0, c.layer.out_w()}, Quant{}, &c.out, 0, 0);
+                              {0, c.layer.out_w()}, 0, c.layer.out_channels(),
+                              Quant{}, &c.out, 0, 0);
     outs.push_back(std::move(c.out));
     FcSetup f = make_fc(sparsity);
     kernels::fc_region(f.layer, f.input.data(), f.weights, 0,

@@ -1,5 +1,6 @@
 #include "compress/codec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -73,6 +74,17 @@ std::uint32_t get_u32(const std::uint8_t* p) {
 }
 
 }  // namespace
+
+std::optional<std::size_t> Codec::first_mismatch(
+    std::span<const std::uint8_t> coded,
+    std::span<const nn::Value> values) const {
+  const std::vector<nn::Value> back = decode(coded, values.size());
+  MOCHA_CHECK(back.size() == values.size(), "codec changed stream length");
+  const auto diff =
+      std::mismatch(values.begin(), values.end(), back.begin()).first;
+  if (diff == values.end()) return std::nullopt;
+  return static_cast<std::size_t>(diff - values.begin());
+}
 
 const char* codec_name(CodecKind kind) {
   switch (kind) {

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -50,6 +51,15 @@ class Codec {
   /// Decodes exactly `count` values from `coded`.
   virtual std::vector<nn::Value> decode(std::span<const std::uint8_t> coded,
                                         std::size_t count) const = 0;
+
+  /// Verifies a round trip: nullopt when decode(coded, values.size())
+  /// equals `values`, otherwise the first index where they differ. Throws
+  /// the decoder's own CheckFailure on a malformed stream. This version
+  /// decodes and compares; a codec may override it to verify without
+  /// building the decoded copy.
+  virtual std::optional<std::size_t> first_mismatch(
+      std::span<const std::uint8_t> coded,
+      std::span<const nn::Value> values) const;
 };
 
 /// Factory for all kinds (None returns a pass-through memcpy codec).

@@ -150,8 +150,12 @@ std::vector<std::uint8_t> HuffmanCodec::encode(
   const std::vector<std::uint64_t> codes = assign_codes(entries);
 
   // Flat symbol -> (pre-reversed code, length) lookup, packed into one word
-  // per symbol ((rev << 6) | len fits: 48 code bits + 6 length bits).
-  std::vector<std::uint64_t> table(kSymbolSpace, 0);
+  // per symbol ((rev << 6) | len fits: 48 code bits + 6 length bits). The
+  // histogram is dead once the symbol list holds its counts, so its 512 KB
+  // are zeroed and reused rather than a second table allocated and faulted
+  // in on every call.
+  std::vector<std::uint64_t>& table = histogram;
+  std::fill(table.begin(), table.end(), std::uint64_t{0});
   for (std::size_t i = 0; i < entries.size(); ++i) {
     table[entries[i].symbol] =
         (reverse_bits(codes[i], entries[i].length) << 6) |

@@ -1,7 +1,7 @@
 #include "dataflow/executor.hpp"
 
 #include <algorithm>
-#include <mutex>
+#include <optional>
 
 #include "dataflow/tiling.hpp"
 #include "nn/kernels.hpp"
@@ -20,23 +20,19 @@ using nn::Value;
 using nn::ValueTensor;
 
 /// Measures one coded stream: encodes through the codec and returns the
-/// coded byte count. With options.verify_codecs the stream is also decoded
-/// and compared element-exact (the executor's codec verification); benches
-/// disable that to measure coded bytes at encode-only cost — the byte
-/// counts, and therefore the bench checksums, are identical either way.
+/// coded byte count. With options.verify_codecs the stream is also checked
+/// to decode element-exact (the executor's codec verification, through
+/// Codec::first_mismatch); benches disable that to measure coded bytes at
+/// encode-only cost — the byte counts, and therefore the bench checksums,
+/// are identical either way.
 std::int64_t measure_coded_bytes(const compress::Codec& codec,
                                  std::span<const Value> values, bool verify) {
   MOCHA_TRACE_SCOPE("codec.roundtrip", "codec");
   const std::vector<std::uint8_t> coded = codec.encode(values);
   if (verify) {
-    const std::vector<Value> back = codec.decode(coded, values.size());
-    MOCHA_CHECK(back.size() == values.size(), "codec changed stream length");
-    if (!std::equal(values.begin(), values.end(), back.begin())) {
-      const auto diff =
-          std::mismatch(values.begin(), values.end(), back.begin()).first;
-      MOCHA_CHECK(false, codec.name() << " round trip mismatch at "
-                                      << (diff - values.begin()));
-    }
+    const std::optional<std::size_t> diff = codec.first_mismatch(coded, values);
+    MOCHA_CHECK(!diff.has_value(),
+                codec.name() << " round trip mismatch at " << *diff);
   }
   MOCHA_METRIC_ADD("executor.codec_bytes_in",
                    static_cast<std::int64_t>(values.size() * sizeof(Value)));
@@ -190,8 +186,37 @@ void measure_kernel_streams(const nn::Network& net, const NetworkPlan& plan,
   }
 }
 
+/// A stage's work items aim at this many per pool lane.
+constexpr Index kItemsPerLane = 4;
+
+/// Output-channel slices per tile for a stage of `n_tiles` tiles over
+/// `map_blocks` kMapBlock-map blocks: one when the tiles alone give every
+/// lane kItemsPerLane items (and always at pool width 1), otherwise enough
+/// slices for about that many, at least one block each.
+Index slices_per_tile(Index n_tiles, Index map_blocks, int lanes) {
+  if (lanes == 1) return 1;
+  const Index wanted = (kItemsPerLane * lanes + n_tiles - 1) / n_tiles;
+  return std::clamp<Index>(wanted, 1, map_blocks);
+}
+
 /// Stage 2: the fusion-group sweep — tile compute, ifmap/ofmap stream
 /// measurement, output commit. Owns everything image-specific.
+///
+/// A group runs stage by stage (one stage per member layer), and each stage
+/// is one parallel_for over (tile, output-channel slice) items, so a layer
+/// with fewer tiles than pool lanes still fills the pool: the pool runs a
+/// worker's nested loops inline, so channels split inside a tile would
+/// leave the other lanes idle. Determinism:
+///  * tail items write their channels of their tile straight into the
+///    tail's output: tiles split it by position and slices by channel, so
+///    no two items write one element;
+///  * intermediate stages write per-tile buffers, which the next stage
+///    reads through a zero-padded view with origin checking (the fused-
+///    pyramid geometry verification); after the stage they are committed
+///    into the full output in tile order. Halo regions overlap, and every
+///    tile recomputes them to identical values;
+///  * per-tile coded byte counts land in tile-indexed slots and are summed
+///    in tile order, bit-identical to the serial sweep.
 void run_groups(const nn::Network& net, const NetworkPlan& plan,
                 const ValueTensor& input,
                 const std::vector<ValueTensor>& weights,
@@ -199,6 +224,7 @@ void run_groups(const nn::Network& net, const NetworkPlan& plan,
                 RetryBudget* budget) {
   ValueTensor flattened;  // staging for spatial->FC transitions
   const ValueTensor* current = &input;
+  const int lanes = util::ThreadPool::global_threads();
 
   for (const NetworkPlan::Group& group : plan.fusion_groups()) {
     MOCHA_TRACE_SCOPE("executor.group", "executor");
@@ -230,99 +256,114 @@ void run_groups(const nn::Network& net, const NetworkPlan& plan,
 
     const auto grid = tile_grid(tail, tail_plan.tile.th, tail_plan.tile.tw);
     const Index n_tiles = static_cast<Index>(grid.size());
+    std::vector<std::vector<TileGeometry>> pyramids;
+    pyramids.reserve(grid.size());
+    for (const TileGeometry& tail_geo : grid) {
+      pyramids.push_back(fused_pyramid(net, group.first, group.last,
+                                       tail_geo.out_y, tail_geo.out_x));
+    }
 
-    // Tiles run in parallel. Determinism:
-    //  * the tail tile grid partitions the output, so tail commits are
-    //    disjoint and lock-free;
-    //  * fused *intermediate* tile regions overlap (halo recompute), and
-    //    overlapping elements are recomputed to identical values in every
-    //    tile, so those commits only need a mutex to stay race-free — the
-    //    final content does not depend on commit order;
-    //  * per-tile coded byte counts land in a tile-indexed slot and are
-    //    summed in tile order afterwards, bit-identical to the serial sweep.
+    const std::unique_ptr<compress::Codec> ifmap_codec =
+        options.exercise_codecs
+            ? compress::make_codec(plan.layers[group.first].ifmap_codec)
+            : nullptr;
     std::vector<std::int64_t> tile_coded(grid.size(), 0);
     std::vector<std::int64_t> tile_retries(grid.size(), 0);
-    std::mutex commit_mu;
-    auto compute_tiles = [&](Index tile_begin, Index tile_end) {
-      // Chunk-local codec + scratch stream, reused across this chunk's tiles.
-      const std::unique_ptr<compress::Codec> ifmap_codec =
-          options.exercise_codecs
-              ? compress::make_codec(plan.layers[group.first].ifmap_codec)
-              : nullptr;
-      std::vector<Value> scratch;
-      for (Index ti = tile_begin; ti < tile_end; ++ti) {
-        MOCHA_TRACE_SCOPE("executor.tile", "executor");
-        // Cooperative cancellation at tile granularity: a fired token stops
-        // this chunk mid-range; the pool's exception path cancels the
-        // remaining chunks and rethrows Cancelled on the submitter.
-        if (options.cancel != nullptr) options.cancel->check();
-        MOCHA_METRIC_ADD("executor.tiles_computed", 1);
-        const TileGeometry& tail_geo = grid[static_cast<std::size_t>(ti)];
-        const auto pyramid = fused_pyramid(net, group.first, group.last,
-                                           tail_geo.out_y, tail_geo.out_x);
-        // Head input region: measure the coded transfer.
-        if (ifmap_codec != nullptr) {
-          extract_region(*current, 0, head.in_c, pyramid.front().in_y,
-                         pyramid.front().in_x, &scratch);
-          const std::span<const Value> stream(scratch.data(), scratch.size());
-          if (inject_faults(options, ifmap_codec->kind())) {
-            tile_coded[static_cast<std::size_t>(ti)] = measure_with_faults(
-                *ifmap_codec, stream, options.codec_flip_rate,
-                stream_seed(options.codec_fault_seed, StreamTag::Ifmap,
-                            group.first, static_cast<std::uint64_t>(ti)),
-                &tile_retries[static_cast<std::size_t>(ti)], budget);
-          } else {
-            tile_coded[static_cast<std::size_t>(ti)] = measure_coded_bytes(
-                *ifmap_codec, stream, options.verify_codecs);
-          }
-        }
-
-        // Walk the pyramid: stage k writes a tile-local buffer that stage
-        // k+1 reads through a zero-padded view with origin checking. The
-        // packed microkernels run the padding-free interior of each stage
-        // with raw row loops; only the border ring takes the checked path
-        // (nn/kernels.hpp — the same backend as the reference kernels).
-        ValueTensor stage_buffer;
-        Index stage_oy = 0;
-        Index stage_ox = 0;
-        for (std::size_t l = group.first; l <= group.last; ++l) {
-          const LayerSpec& layer = net.layers[l];
-          const TileGeometry& geo = pyramid[l - group.first];
-          const nn::kernels::PaddedInput in =
-              l == group.first
-                  ? nn::kernels::PaddedInput::full(*current, layer.in_h,
-                                                   layer.in_w)
-                  : nn::kernels::PaddedInput::local(stage_buffer, stage_oy,
-                                                    stage_ox, layer.in_h,
-                                                    layer.in_w);
-          ValueTensor out_tile(
-              {1, layer.out_channels(), geo.out_y.size, geo.out_x.size});
-          nn::kernels::run_layer_region(
-              layer, in, weights[l], {geo.out_y.begin, geo.out_y.size},
-              {geo.out_x.begin, geo.out_x.size}, options.quant, &out_tile, 0,
-              0);
-          // Commit this stage's tile into its full output tensor.
-          {
-            std::unique_lock<std::mutex> lock(commit_mu, std::defer_lock);
-            if (l < group.last) lock.lock();  // overlapping halo regions
-            ValueTensor& full = result->outputs[l];
-            for (Index c = 0; c < layer.out_channels(); ++c) {
-              for (Index y = 0; y < geo.out_y.size; ++y) {
-                const Value* src = &out_tile.at_unchecked(0, c, y, 0);
-                Value* dst = &full.at_unchecked(0, c, geo.out_y.begin + y,
-                                                geo.out_x.begin);
-                std::copy(src, src + geo.out_x.size, dst);
-              }
-            }
-          }
-          stage_buffer = std::move(out_tile);
-          stage_oy = geo.out_y.begin;
-          stage_ox = geo.out_x.begin;
-        }
+    // Head input region of tile ti: measure the coded transfer.
+    const auto measure_ifmap = [&](Index ti, std::vector<Value>* scratch) {
+      const auto t = static_cast<std::size_t>(ti);
+      extract_region(*current, 0, head.in_c, pyramids[t].front().in_y,
+                     pyramids[t].front().in_x, scratch);
+      const std::span<const Value> stream(scratch->data(), scratch->size());
+      if (inject_faults(options, ifmap_codec->kind())) {
+        tile_coded[t] = measure_with_faults(
+            *ifmap_codec, stream, options.codec_flip_rate,
+            stream_seed(options.codec_fault_seed, StreamTag::Ifmap,
+                        group.first, static_cast<std::uint64_t>(ti)),
+            &tile_retries[t], budget);
+      } else {
+        tile_coded[t] =
+            measure_coded_bytes(*ifmap_codec, stream, options.verify_codecs);
       }
     };
-    util::parallel_for(0, n_tiles, util::default_grain(n_tiles),
-                       compute_tiles, options.cancel);
+
+    std::vector<ValueTensor> stage_tiles;  // the previous stage's tiles
+    for (std::size_t l = group.first; l <= group.last; ++l) {
+      const LayerSpec& layer = net.layers[l];
+      const std::size_t stage = l - group.first;
+      const Index maps = layer.out_channels();
+      const Index blocks =
+          (maps + nn::kernels::kMapBlock - 1) / nn::kernels::kMapBlock;
+      const Index slices = slices_per_tile(n_tiles, blocks, lanes);
+      std::vector<ValueTensor> out_tiles;
+      if (l < group.last) {
+        for (const auto& pyramid : pyramids) {
+          const TileGeometry& geo = pyramid[stage];
+          out_tiles.emplace_back(
+              nn::Shape4{1, maps, geo.out_y.size, geo.out_x.size});
+        }
+      }
+
+      const auto run_items = [&](Index item_begin, Index item_end) {
+        std::vector<Value> scratch;  // ifmap stream, reused across items
+        for (Index item = item_begin; item < item_end; ++item) {
+          MOCHA_TRACE_SCOPE("executor.item", "executor");
+          // Cooperative cancellation per item: a fired token stops this
+          // chunk mid-range; the pool's exception path cancels the
+          // remaining chunks and rethrows Cancelled on the submitter.
+          if (options.cancel != nullptr) options.cancel->check();
+          const Index ti = item / slices;
+          const Index si = item % slices;
+          const auto t = static_cast<std::size_t>(ti);
+          if (stage == 0 && si == 0) {
+            MOCHA_METRIC_ADD("executor.tiles_computed", 1);
+            if (ifmap_codec != nullptr) measure_ifmap(ti, &scratch);
+          }
+          const TileGeometry& geo = pyramids[t][stage];
+          nn::kernels::PaddedInput in;
+          if (stage == 0) {
+            in = nn::kernels::PaddedInput::full(*current, layer.in_h,
+                                                layer.in_w);
+          } else {
+            const TileGeometry& prev = pyramids[t][stage - 1];
+            in = nn::kernels::PaddedInput::local(
+                stage_tiles[t], prev.out_y.begin, prev.out_x.begin,
+                layer.in_h, layer.in_w);
+          }
+          const Index m_begin = nn::kernels::kMapBlock * (si * blocks / slices);
+          const Index m_end = std::min(
+              maps, nn::kernels::kMapBlock * ((si + 1) * blocks / slices));
+          // The tail writes its tile of the full output in place; an
+          // intermediate stage writes the tile's own buffer.
+          const bool in_place = l == group.last;
+          nn::kernels::run_layer_region(
+              layer, in, weights[l], {geo.out_y.begin, geo.out_y.size},
+              {geo.out_x.begin, geo.out_x.size}, m_begin, m_end, options.quant,
+              in_place ? &result->outputs[l] : &out_tiles[t],
+              in_place ? geo.out_y.begin : 0, in_place ? geo.out_x.begin : 0);
+        }
+      };
+      const Index items = n_tiles * slices;
+      util::parallel_for(0, items, util::default_grain(items), run_items,
+                         options.cancel);
+
+      if (l < group.last) {
+        // Commit this stage's tiles into its full output tensor.
+        ValueTensor& full = result->outputs[l];
+        for (std::size_t t = 0; t < out_tiles.size(); ++t) {
+          const TileGeometry& geo = pyramids[t][stage];
+          for (Index c = 0; c < maps; ++c) {
+            for (Index y = 0; y < geo.out_y.size; ++y) {
+              const Value* src = &out_tiles[t].at_unchecked(0, c, y, 0);
+              Value* dst = &full.at_unchecked(0, c, geo.out_y.begin + y,
+                                              geo.out_x.begin);
+              std::copy(src, src + geo.out_x.size, dst);
+            }
+          }
+        }
+        stage_tiles = std::move(out_tiles);
+      }
+    }
     std::int64_t ifmap_coded_total = 0;
     for (std::int64_t coded : tile_coded) ifmap_coded_total += coded;
     result->streams[group.first].ifmap_coded = ifmap_coded_total;

@@ -4,15 +4,10 @@
 
 #include "nn/kernels_ops.hpp"
 #include "obs/metrics.hpp"
-#include "util/parallel.hpp"
 
 namespace mocha::nn::kernels {
 
 namespace {
-
-/// Output-channel register block: ifmap rows loaded once are reused across
-/// this many maps' accumulators before the next row pass.
-constexpr Index kMapBlock = 4;
 
 Index ceil_div(Index a, Index b) { return (a + b - 1) / b; }
 
@@ -444,53 +439,42 @@ void fc_region(const LayerSpec& layer, const Value* flat_in,
 
 void run_layer_region(const LayerSpec& layer, const PaddedInput& in,
                       const ValueTensor& weights, Span out_y, Span out_x,
-                      const Quant& quant, ValueTensor* out, Index out_oy,
-                      Index out_ox) {
-  if (out_y.size <= 0 || out_x.size <= 0) return;
-  const Index m_total = layer.out_channels();
+                      Index m_begin, Index m_end, const Quant& quant,
+                      ValueTensor* out, Index out_oy, Index out_ox) {
+  if (out_y.size <= 0 || out_x.size <= 0 || m_begin >= m_end) return;
 
-  if (layer.kind == LayerKind::FullyConnected) {
-    MOCHA_CHECK(in.origin_y == 0 && in.origin_x == 0 &&
-                    in.view_h == in.full_h && in.view_w == in.full_w,
-                "FC layers read the whole (flattened) ifmap");
-    util::parallel_for(0, m_total, util::default_grain(m_total, kMapBlock),
-                       [&](Index mb, Index me) {
-                         fc_region(layer, in.base, weights, mb, me, quant,
-                                   out);
-                       });
-    return;
-  }
-
-  const Index pad = layer.kind == LayerKind::Pool ? 0 : layer.pad;
   RowNonzero nz;
-  if (layer.kind != LayerKind::Pool) {
+  if (layer.kind == LayerKind::Conv ||
+      layer.kind == LayerKind::DepthwiseConv) {
     // Row window the kernels may read (unclamped; padding rows flag zero).
-    const Index y_lo = out_y.begin * layer.stride - pad;
+    const Index y_lo = out_y.begin * layer.stride - layer.pad;
     const Index rows = (out_y.size - 1) * layer.stride + layer.kernel;
-    const Index x_lo = out_x.begin * layer.stride - pad;
+    const Index x_lo = out_x.begin * layer.stride - layer.pad;
     const Index x_hi = x_lo + (out_x.size - 1) * layer.stride + layer.kernel;
     nz.build(in, layer.in_c, y_lo, rows, x_lo, x_hi);
   }
 
-  util::parallel_for(
-      0, m_total, util::default_grain(m_total, kMapBlock),
-      [&](Index mb, Index me) {
-        switch (layer.kind) {
-          case LayerKind::Conv:
-            conv_region(layer, in, weights, nz, out_y, out_x, mb, me, quant,
-                        out, out_oy, out_ox);
-            break;
-          case LayerKind::DepthwiseConv:
-            depthwise_region(layer, in, weights, nz, out_y, out_x, mb, me,
-                             quant, out, out_oy, out_ox);
-            break;
-          case LayerKind::Pool:
-            pool_region(layer, in, out_y, out_x, mb, me, out, out_oy, out_ox);
-            break;
-          case LayerKind::FullyConnected:
-            MOCHA_UNREACHABLE("handled above");
-        }
-      });
+  switch (layer.kind) {
+    case LayerKind::Conv:
+      conv_region(layer, in, weights, nz, out_y, out_x, m_begin, m_end, quant,
+                  out, out_oy, out_ox);
+      return;
+    case LayerKind::DepthwiseConv:
+      depthwise_region(layer, in, weights, nz, out_y, out_x, m_begin, m_end,
+                       quant, out, out_oy, out_ox);
+      return;
+    case LayerKind::Pool:
+      pool_region(layer, in, out_y, out_x, m_begin, m_end, out, out_oy,
+                  out_ox);
+      return;
+    case LayerKind::FullyConnected:
+      MOCHA_CHECK(in.origin_y == 0 && in.origin_x == 0 &&
+                      in.view_h == in.full_h && in.view_w == in.full_w,
+                  "FC layers read the whole (flattened) ifmap");
+      fc_region(layer, in.base, weights, m_begin, m_end, quant, out);
+      return;
+  }
+  MOCHA_UNREACHABLE("bad LayerKind");
 }
 
 }  // namespace mocha::nn::kernels

@@ -29,6 +29,11 @@
 
 namespace mocha::nn::kernels {
 
+/// Output-channel register block: ifmap rows loaded once are reused across
+/// this many maps' accumulators before the next row pass. Callers that
+/// split a layer's channels cut them on multiples of this block.
+inline constexpr Index kMapBlock = 4;
+
 /// Half-open 1-D output window [begin, begin + size). Mirrors
 /// dataflow::Range (nn cannot depend on dataflow).
 struct Span {
@@ -129,13 +134,16 @@ void fc_region(const LayerSpec& layer, const Value* flat_in,
                const ValueTensor& weights, Index m_begin, Index m_end,
                const Quant& quant, ValueTensor* out);
 
-/// Whole-region entry point: builds the zero-skip metadata once, then
-/// shards output channels across the thread pool and dispatches on
-/// layer.kind. This is the one compute path both the reference kernels and
-/// the executor's tiles go through.
+/// The one compute entry point both the reference kernels and the
+/// executor's work items go through: output channels [m_begin, m_end) of
+/// the output window (out_y, out_x), written into `out` at offset
+/// (out_oy, out_ox). Builds the zero-skip metadata, then dispatches on
+/// layer.kind. Runs serially on the calling thread; callers split the
+/// channels across the pool, and disjoint slices make any split
+/// bit-identical to one call over every channel.
 void run_layer_region(const LayerSpec& layer, const PaddedInput& in,
                       const ValueTensor& weights, Span out_y, Span out_x,
-                      const Quant& quant, ValueTensor* out, Index out_oy,
-                      Index out_ox);
+                      Index m_begin, Index m_end, const Quant& quant,
+                      ValueTensor* out, Index out_oy, Index out_ox);
 
 }  // namespace mocha::nn::kernels

@@ -1,17 +1,39 @@
 #include "nn/reference.hpp"
 
 #include "nn/kernels.hpp"
+#include "util/parallel.hpp"
 
 namespace mocha::nn {
 
 // The reference entry points validate shapes, then run the packed
 // microkernels (nn/kernels.hpp) over the whole output: the same interior/
 // border-split, register-blocked, zero-skipping loops the tiled executor
-// uses, which keeps exactly one compute implementation in the tree. The
-// kernels shard output channels across the thread pool; disjoint slices
-// make the parallel result bit-identical to the serial walk, and integer
+// uses, which keeps exactly one compute implementation in the tree. They
+// shard output channels across the thread pool; disjoint slices make the
+// parallel result bit-identical to the serial walk, and integer
 // arithmetic makes the packed loops bit-identical to the naive loop nests
 // (tests/nn/kernels_test.cpp keeps a naive oracle to enforce this).
+
+namespace {
+
+/// Runs the whole output of `layer`, output channels split on the pool in
+/// whole register blocks.
+ValueTensor run_whole_layer(const LayerSpec& layer,
+                            const kernels::PaddedInput& in,
+                            const ValueTensor& weights, const Quant& quant) {
+  ValueTensor out(layer.output_shape());
+  const Index maps = layer.out_channels();
+  util::parallel_for(0, maps, util::default_grain(maps, kernels::kMapBlock),
+                     [&](Index m_begin, Index m_end) {
+                       kernels::run_layer_region(
+                           layer, in, weights, {0, layer.out_h()},
+                           {0, layer.out_w()}, m_begin, m_end, quant, &out,
+                           0, 0);
+                     });
+  return out;
+}
+
+}  // namespace
 
 ValueTensor conv2d_ref(const ValueTensor& input, const ValueTensor& weights,
                        const LayerSpec& layer, const Quant& quant) {
@@ -21,11 +43,9 @@ ValueTensor conv2d_ref(const ValueTensor& input, const ValueTensor& weights,
   MOCHA_CHECK(weights.shape() == layer.weight_shape(),
               layer.name << ": weight shape mismatch");
 
-  ValueTensor out(layer.output_shape());
-  kernels::run_layer_region(
+  return run_whole_layer(
       layer, kernels::PaddedInput::full(input, layer.in_h, layer.in_w),
-      weights, {0, layer.out_h()}, {0, layer.out_w()}, quant, &out, 0, 0);
-  return out;
+      weights, quant);
 }
 
 ValueTensor depthwise_ref(const ValueTensor& input, const ValueTensor& weights,
@@ -37,11 +57,9 @@ ValueTensor depthwise_ref(const ValueTensor& input, const ValueTensor& weights,
   MOCHA_CHECK(weights.shape() == layer.weight_shape(),
               layer.name << ": weight shape mismatch");
 
-  ValueTensor out(layer.output_shape());
-  kernels::run_layer_region(
+  return run_whole_layer(
       layer, kernels::PaddedInput::full(input, layer.in_h, layer.in_w),
-      weights, {0, layer.out_h()}, {0, layer.out_w()}, quant, &out, 0, 0);
-  return out;
+      weights, quant);
 }
 
 ValueTensor pool_ref(const ValueTensor& input, const LayerSpec& layer) {
@@ -49,13 +67,9 @@ ValueTensor pool_ref(const ValueTensor& input, const LayerSpec& layer) {
   MOCHA_CHECK(input.shape() == layer.input_shape(),
               layer.name << ": input shape mismatch");
 
-  ValueTensor out(layer.output_shape());
-  const ValueTensor no_weights;
-  kernels::run_layer_region(
+  return run_whole_layer(
       layer, kernels::PaddedInput::full(input, layer.in_h, layer.in_w),
-      no_weights, {0, layer.out_h()}, {0, layer.out_w()}, Quant{}, &out, 0,
-      0);
-  return out;
+      ValueTensor{}, Quant{});
 }
 
 ValueTensor fc_ref(const ValueTensor& input, const ValueTensor& weights,
@@ -67,12 +81,10 @@ ValueTensor fc_ref(const ValueTensor& input, const ValueTensor& weights,
   MOCHA_CHECK(weights.shape() == layer.weight_shape(),
               layer.name << ": weight shape mismatch");
 
-  ValueTensor out(layer.output_shape());
-  kernels::run_layer_region(
+  return run_whole_layer(
       layer,
       kernels::PaddedInput::full(input, input.shape().h, input.shape().w),
-      weights, {0, 1}, {0, 1}, quant, &out, 0, 0);
-  return out;
+      weights, quant);
 }
 
 ValueTensor run_layer_ref(const ValueTensor& input, const ValueTensor& weights,

@@ -6,15 +6,33 @@
 // owning, contiguous, bounds-checked access.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace mocha::nn {
 
 using Index = std::int64_t;
+
+/// Elements of p[0, n) not equal to T{}. The fixed-length inner loop is what
+/// lets the compiler vectorize the count at -O2.
+template <typename T>
+std::size_t count_nonzeros(const T* p, std::size_t n) {
+  constexpr std::size_t kRun = 64;
+  std::size_t nonzeros = 0;
+  std::size_t i = 0;
+  for (; i + kRun <= n; i += kRun) {
+    unsigned run = 0;
+    for (std::size_t j = 0; j < kRun; ++j) run += p[i + j] != T{};
+    nonzeros += run;
+  }
+  for (; i < n; ++i) nonzeros += p[i] != T{};
+  return nonzeros;
+}
 
 /// NCHW shape. For weight tensors the convention is
 /// n = output channels, c = input channels, h = w = kernel size.
@@ -97,14 +115,30 @@ class Tensor4 {
 
   void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
 
+  /// Elements per chunk of the sparsity count.
+  static constexpr Index kSparsityChunk = Index{1} << 15;
+
   /// Fraction of elements equal to zero (used to drive compression models).
+  /// Counted in kSparsityChunk-element chunks on the global pool (inline
+  /// for a single chunk); the chunks' integer counts are summed before the
+  /// one division, so the result does not depend on the pool width.
   double sparsity() const {
     if (data_.empty()) return 0.0;
-    std::size_t zeros = 0;
-    for (const T& v : data_) {
-      if (v == T{}) ++zeros;
-    }
-    return static_cast<double>(zeros) / static_cast<double>(data_.size());
+    const Index n = size();
+    const Index chunks = (n + kSparsityChunk - 1) / kSparsityChunk;
+    const std::vector<std::size_t> nonzeros =
+        util::parallel_transform<std::size_t>(
+            chunks, util::default_grain(chunks), [&](Index chunk) {
+              const Index begin = chunk * kSparsityChunk;
+              return count_nonzeros(
+                  data_.data() + begin,
+                  static_cast<std::size_t>(
+                      std::min(kSparsityChunk, n - begin)));
+            });
+    const auto zeros =
+        static_cast<std::size_t>(n) -
+        std::accumulate(nonzeros.begin(), nonzeros.end(), std::size_t{0});
+    return static_cast<double>(zeros) / static_cast<double>(n);
   }
 
   bool operator==(const Tensor4& other) const {

@@ -206,7 +206,8 @@ TEST(Executor, RejectsWrongWeights) {
 }
 
 /// Property sweep: random small networks, random tile shapes — output must
-/// equal the reference in every configuration.
+/// equal the reference in every configuration, at every pool width (the
+/// executor splits tiles into channel slices by width).
 class ExecutorProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExecutorProperty, RandomPlansMatchReference) {
@@ -226,7 +227,11 @@ TEST_P(ExecutorProperty, RandomPlansMatchReference) {
       plan.layers[i].tile.tc = rng.uniform_int(1, layer.in_c);
     }
   }
-  f.expect_matches(plan);
+  for (int width : {1, 2, 3, 8}) {
+    util::ThreadPool::set_global_threads(width);
+    f.expect_matches(plan);
+  }
+  util::ThreadPool::set_global_threads(1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorProperty, ::testing::Range(0, 12));

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "bench/common.hpp"
+#include "compress/bitmask.hpp"
 #include "core/morph.hpp"
 #include "core/report_json.hpp"
 #include "dataflow/executor.hpp"
 #include "nn/generate.hpp"
+#include "obs/metrics.hpp"
 #include "util/parallel.hpp"
 
 namespace mocha {
@@ -54,6 +56,10 @@ nn::Network mobilenet_style() {
   return net;
 }
 
+/// Pool widths every equivalence check sweeps; width 1 is the serial
+/// oracle the others must match.
+constexpr int kWidths[] = {1, 2, 3, 8};
+
 struct PlannedRun {
   NetworkPlan plan;
   FunctionalResult result;
@@ -71,57 +77,80 @@ PlannedRun plan_and_execute(const nn::Network& net,
   return run;
 }
 
+/// Everything run_functional reports must be bit-identical: outputs, every
+/// measured stream byte count (per-tile counts are summed in tile order
+/// regardless of which thread coded which tile), the measured sparsities
+/// and the retry count.
+void expect_same_result(const FunctionalResult& want,
+                        const FunctionalResult& got, const std::string& what) {
+  ASSERT_EQ(want.outputs.size(), got.outputs.size()) << what;
+  for (std::size_t i = 0; i < want.outputs.size(); ++i) {
+    EXPECT_TRUE(want.outputs[i] == got.outputs[i]) << what << " layer " << i;
+  }
+  ASSERT_EQ(want.streams.size(), got.streams.size()) << what;
+  for (std::size_t i = 0; i < want.streams.size(); ++i) {
+    const dataflow::MeasuredStreams& a = want.streams[i];
+    const dataflow::MeasuredStreams& b = got.streams[i];
+    EXPECT_EQ(a.ifmap_raw, b.ifmap_raw) << what << " layer " << i;
+    EXPECT_EQ(a.ifmap_coded, b.ifmap_coded) << what << " layer " << i;
+    EXPECT_EQ(a.kernel_raw, b.kernel_raw) << what << " layer " << i;
+    EXPECT_EQ(a.kernel_coded, b.kernel_coded) << what << " layer " << i;
+    EXPECT_EQ(a.ofmap_raw, b.ofmap_raw) << what << " layer " << i;
+    EXPECT_EQ(a.ofmap_coded, b.ofmap_coded) << what << " layer " << i;
+  }
+  ASSERT_EQ(want.measured_stats.size(), got.measured_stats.size()) << what;
+  for (std::size_t i = 0; i < want.measured_stats.size(); ++i) {
+    EXPECT_EQ(want.measured_stats[i].ifmap_sparsity,
+              got.measured_stats[i].ifmap_sparsity)
+        << what << " layer " << i;
+    EXPECT_EQ(want.measured_stats[i].kernel_sparsity,
+              got.measured_stats[i].kernel_sparsity)
+        << what << " layer " << i;
+    EXPECT_EQ(want.measured_stats[i].ofmap_sparsity,
+              got.measured_stats[i].ofmap_sparsity)
+        << what << " layer " << i;
+  }
+  EXPECT_EQ(want.codec_retries, got.codec_retries) << what;
+}
+
+/// Flip rate of the transient-fault runs: high enough that some coded
+/// streams of these small networks fail their integrity check.
+constexpr double kFlipRate = 2e-4;
+
 void expect_thread_equivalence(const nn::Network& net) {
   util::Rng rng(99);
   const nn::ValueTensor input =
       nn::random_tensor(net.layers.front().input_shape(), 0.3, rng);
   const auto weights = nn::random_weights(net, 0.25, rng);
+  dataflow::FunctionalOptions faulty;
+  faulty.codec_flip_rate = kFlipRate;
 
   util::ThreadPool::set_global_threads(1);
   const PlannedRun serial = plan_and_execute(net, input, weights);
-  util::ThreadPool::set_global_threads(8);
-  const PlannedRun parallel = plan_and_execute(net, input, weights);
+  const FunctionalResult serial_faulty =
+      dataflow::run_functional(net, serial.plan, input, weights, faulty);
+  for (int width : kWidths) {
+    util::ThreadPool::set_global_threads(width);
+    const PlannedRun parallel = plan_and_execute(net, input, weights);
+    const std::string what = net.name + " at width " + std::to_string(width);
+
+    // Chosen morph plans are identical, knob for knob.
+    ASSERT_EQ(serial.plan.layers.size(), parallel.plan.layers.size());
+    for (std::size_t i = 0; i < serial.plan.layers.size(); ++i) {
+      const dataflow::LayerPlan& a = serial.plan.layers[i];
+      const dataflow::LayerPlan& b = parallel.plan.layers[i];
+      EXPECT_EQ(a.summary(), b.summary()) << what << " layer " << i;
+      EXPECT_EQ(a.tile, b.tile) << what << " layer " << i;
+      EXPECT_EQ(a.batch_tile, b.batch_tile) << what << " layer " << i;
+      EXPECT_EQ(a.fuse_with_next, b.fuse_with_next) << what << " layer " << i;
+    }
+    expect_same_result(serial.result, parallel.result, what);
+    expect_same_result(
+        serial_faulty,
+        dataflow::run_functional(net, serial.plan, input, weights, faulty),
+        what + " with codec faults");
+  }
   util::ThreadPool::set_global_threads(1);
-
-  // Chosen morph plans are identical, knob for knob.
-  ASSERT_EQ(serial.plan.layers.size(), parallel.plan.layers.size());
-  for (std::size_t i = 0; i < serial.plan.layers.size(); ++i) {
-    const dataflow::LayerPlan& a = serial.plan.layers[i];
-    const dataflow::LayerPlan& b = parallel.plan.layers[i];
-    EXPECT_EQ(a.summary(), b.summary()) << net.name << " layer " << i;
-    EXPECT_EQ(a.tile, b.tile) << net.name << " layer " << i;
-    EXPECT_EQ(a.batch_tile, b.batch_tile) << net.name << " layer " << i;
-    EXPECT_EQ(a.fuse_with_next, b.fuse_with_next) << net.name << " layer "
-                                                  << i;
-  }
-
-  // Executor outputs are bit-identical.
-  ASSERT_EQ(serial.result.outputs.size(), parallel.result.outputs.size());
-  for (std::size_t i = 0; i < serial.result.outputs.size(); ++i) {
-    EXPECT_TRUE(serial.result.outputs[i] == parallel.result.outputs[i])
-        << net.name << " layer " << net.layers[i].name;
-  }
-
-  // Measured coded-stream byte counts are identical (the per-tile reduction
-  // is summed in tile order regardless of which thread coded which tile).
-  for (std::size_t i = 0; i < serial.result.streams.size(); ++i) {
-    const dataflow::MeasuredStreams& a = serial.result.streams[i];
-    const dataflow::MeasuredStreams& b = parallel.result.streams[i];
-    EXPECT_EQ(a.ifmap_raw, b.ifmap_raw) << net.name << " layer " << i;
-    EXPECT_EQ(a.ifmap_coded, b.ifmap_coded) << net.name << " layer " << i;
-    EXPECT_EQ(a.kernel_raw, b.kernel_raw) << net.name << " layer " << i;
-    EXPECT_EQ(a.kernel_coded, b.kernel_coded) << net.name << " layer " << i;
-    EXPECT_EQ(a.ofmap_raw, b.ofmap_raw) << net.name << " layer " << i;
-    EXPECT_EQ(a.ofmap_coded, b.ofmap_coded) << net.name << " layer " << i;
-  }
-
-  // Measured sparsity statistics ride the same paths; keep them honest too.
-  for (std::size_t i = 0; i < serial.result.measured_stats.size(); ++i) {
-    EXPECT_EQ(serial.result.measured_stats[i].ifmap_sparsity,
-              parallel.result.measured_stats[i].ifmap_sparsity);
-    EXPECT_EQ(serial.result.measured_stats[i].ofmap_sparsity,
-              parallel.result.measured_stats[i].ofmap_sparsity);
-  }
 }
 
 TEST(ParallelEquivalence, AlexNetStyleSerialVsEightThreads) {
@@ -130,6 +159,82 @@ TEST(ParallelEquivalence, AlexNetStyleSerialVsEightThreads) {
 
 TEST(ParallelEquivalence, MobileNetStyleSerialVsEightThreads) {
   expect_thread_equivalence(mobilenet_style());
+}
+
+/// Hand-built plans with fewer tiles than pool lanes, so the executor
+/// splits every stage's tiles into output-channel slices: a 2-tile conv, a
+/// 2-tile fused conv->pool group, a depthwise layer, and an FC layer whose
+/// 263,375 weights (not a multiple of 8) pass the Bitmask codec's pool
+/// threshold, so its kernel stream runs block-parallel with a partial tail.
+TEST(ParallelEquivalence, FewTilesPlansAcrossWidths) {
+  nn::Network net;
+  net.name = "few_tiles";
+  net.layers.push_back(nn::conv_layer("conv1", 3, 14, 14, 16, 3, 1, 1));
+  net.layers.push_back(nn::conv_layer("conv2", 16, 14, 14, 25, 3, 1, 1));
+  net.layers.push_back(nn::pool_layer("pool", 25, 14, 14, 2, 2));
+  net.layers.push_back(nn::depthwise_layer("dw", 25, 7, 7, 3, 1, 1));
+  net.layers.push_back(nn::fc_layer("fc1", 25 * 7 * 7, 215));
+  net.layers.push_back(nn::fc_layer("fc2", 215, 10, /*relu=*/false));
+  net.validate();
+  ASSERT_GE(static_cast<std::size_t>(net.layers[4].weight_elems()),
+            compress::BitmaskCodec::kParallelValues);
+  ASSERT_NE(net.layers[4].weight_elems() % 8, 0);
+
+  NetworkPlan plan;
+  for (const nn::LayerSpec& layer : net.layers) {
+    dataflow::LayerPlan lp;
+    lp.tile = {layer.out_h(), layer.out_w(), layer.in_c,
+               layer.out_channels()};
+    lp.ifmap_codec = compress::CodecKind::Zrle;
+    lp.kernel_codec = compress::CodecKind::Bitmask;
+    lp.ofmap_codec = compress::CodecKind::Huffman;
+    plan.layers.push_back(lp);
+  }
+  plan.layers[0].tile.th = 7;      // conv1: 2 tiles
+  plan.layers[1].fuse_with_next = true;
+  plan.layers[2].tile.th = 4;      // conv2 -> pool: 2 tiles (4 + 3 rows)
+  plan.layers[3].ifmap_codec = compress::CodecKind::Bitmask;
+
+  util::Rng rng(41);
+  const nn::ValueTensor input =
+      nn::random_tensor(net.layers.front().input_shape(), 0.3, rng);
+  const auto weights = nn::random_weights(net, 0.25, rng);
+  const auto reference = nn::run_network_ref(net, input, weights, {});
+  dataflow::FunctionalOptions faulty;
+  faulty.codec_flip_rate = kFlipRate;
+
+  util::ThreadPool::set_global_threads(1);
+  const FunctionalResult serial =
+      dataflow::run_functional(net, plan, input, weights);
+  const FunctionalResult serial_faulty =
+      dataflow::run_functional(net, plan, input, weights, faulty);
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_TRUE(serial.outputs[i] == reference[i]) << net.layers[i].name;
+  }
+  EXPECT_GT(serial_faulty.codec_retries, 0);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  for (int width : kWidths) {
+    util::ThreadPool::set_global_threads(width);
+    const std::string what = "width " + std::to_string(width);
+    registry.reset();
+    registry.set_enabled(true);
+    const FunctionalResult result =
+        dataflow::run_functional(net, plan, input, weights);
+    registry.set_enabled(false);
+    expect_same_result(serial, result, what);
+#if MOCHA_OBS
+    // Each tile counts once, however many channel slices split it:
+    // 2 + 2 + 1 + 1 + 1 tiles over the five fusion groups.
+    EXPECT_EQ(registry.snapshot().counters.at("executor.tiles_computed"), 7)
+        << what;
+#endif
+    registry.reset();
+    expect_same_result(
+        serial_faulty,
+        dataflow::run_functional(net, plan, input, weights, faulty),
+        what + " with codec faults");
+  }
+  util::ThreadPool::set_global_threads(1);
 }
 
 // The reference kernels parallelize over channels; they must match

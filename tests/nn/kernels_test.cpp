@@ -254,7 +254,7 @@ TEST(KernelsRegion, SubRectangleMatchesOracleSlice) {
   ValueTensor tile({1, layer.out_channels(), ys.size, xs.size});
   kernels::run_layer_region(
       layer, kernels::PaddedInput::full(input, layer.in_h, layer.in_w),
-      weights, ys, xs, quant, &tile, 0, 0);
+      weights, ys, xs, 0, layer.out_channels(), quant, &tile, 0, 0);
   for (Index m = 0; m < layer.out_channels(); ++m) {
     for (Index y = 0; y < ys.size; ++y) {
       for (Index x = 0; x < xs.size; ++x) {
@@ -296,7 +296,7 @@ TEST(KernelsRegion, LocalBufferMatchesFullView) {
   kernels::run_layer_region(
       layer, kernels::PaddedInput::local(local, iy0, ix0, layer.in_h,
                                          layer.in_w),
-      weights, ys, xs, quant, &tile, 0, 0);
+      weights, ys, xs, 0, layer.out_channels(), quant, &tile, 0, 0);
   for (Index m = 0; m < layer.out_channels(); ++m) {
     for (Index y = 0; y < ys.size; ++y) {
       for (Index x = 0; x < xs.size; ++x) {

@@ -51,6 +51,25 @@ TEST(Tensor, SparsityCountsZeros) {
   EXPECT_DOUBLE_EQ(t.sparsity(), 0.0);
 }
 
+TEST(Tensor, SparsityIsTheSameAtEveryPoolWidth) {
+  // Three whole chunks and a partial one, so the count runs on the pool.
+  const Index n = 3 * ValueTensor::kSparsityChunk + 5;
+  ValueTensor t({1, 1, 1, n});
+  std::size_t zeros = 0;
+  for (Index i = 0; i < n; ++i) {
+    const bool zero = i % 3 == 0 || (i > 1000 && i < 1200) || i >= n - 3;
+    t.flat(i) = zero ? Value{0} : static_cast<Value>(i % 251 + 1);
+    zeros += zero;
+  }
+  const double want = static_cast<double>(zeros) / static_cast<double>(n);
+  const int original = util::ThreadPool::global_threads();
+  for (int width : {1, 2, 3, 8}) {
+    util::ThreadPool::set_global_threads(width);
+    EXPECT_EQ(t.sparsity(), want) << "pool width " << width;
+  }
+  util::ThreadPool::set_global_threads(original);
+}
+
 TEST(Tensor, EqualityIsElementwise) {
   ValueTensor a({1, 1, 1, 2}, {1, 2});
   ValueTensor b({1, 1, 1, 2}, {1, 2});
