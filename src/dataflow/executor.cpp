@@ -186,6 +186,20 @@ void measure_kernel_streams(const nn::Network& net, const NetworkPlan& plan,
   }
 }
 
+/// Every layer's weights in the layout its kernel reads (conv packed into
+/// map-block lanes), built once per run_functional call — once per batch in
+/// run_functional_batch — and shared by every work item.
+std::vector<nn::kernels::PackedWeights> pack_weights(
+    const nn::Network& net, const std::vector<ValueTensor>& weights) {
+  MOCHA_TRACE_SCOPE("executor.pack_weights", "executor");
+  std::vector<nn::kernels::PackedWeights> packed;
+  packed.reserve(net.layers.size());
+  for (std::size_t i = 0; i < net.layers.size(); ++i) {
+    packed.emplace_back(net.layers[i], weights[i]);
+  }
+  return packed;
+}
+
 /// A stage's work items aim at this many per pool lane.
 constexpr Index kItemsPerLane = 4;
 
@@ -219,7 +233,7 @@ Index slices_per_tile(Index n_tiles, Index map_blocks, int lanes) {
 ///    in tile order, bit-identical to the serial sweep.
 void run_groups(const nn::Network& net, const NetworkPlan& plan,
                 const ValueTensor& input,
-                const std::vector<ValueTensor>& weights,
+                const std::vector<nn::kernels::PackedWeights>& weights,
                 const FunctionalOptions& options, FunctionalResult* result,
                 RetryBudget* budget) {
   ValueTensor flattened;  // staging for spatial->FC transitions
@@ -414,7 +428,8 @@ FunctionalResult run_functional(const nn::Network& net,
   retry_budget.budget = options.codec_retry_budget;
 
   measure_kernel_streams(net, plan, weights, options, &result, &retry_budget);
-  run_groups(net, plan, input, weights, options, &result, &retry_budget);
+  run_groups(net, plan, input, pack_weights(net, weights), options, &result,
+             &retry_budget);
   return result;
 }
 
@@ -440,6 +455,8 @@ std::vector<BatchOutput> run_functional_batch(
     RetryBudget unused;  // fault-free: never spent
     measure_kernel_streams(net, plan, weights, options, &shared, &unused);
   }
+  const std::vector<nn::kernels::PackedWeights> packed =
+      pack_weights(net, weights);
 
   std::vector<BatchOutput> out(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
@@ -462,7 +479,7 @@ std::vector<BatchOutput> run_functional_batch(
         measure_kernel_streams(net, plan, weights, local, &result,
                                &retry_budget);
       }
-      run_groups(net, plan, *items[i].input, weights, local, &result,
+      run_groups(net, plan, *items[i].input, packed, local, &result,
                  &retry_budget);
       MOCHA_METRIC_ADD("executor.batched_images", 1);
     } catch (const util::Cancelled&) {

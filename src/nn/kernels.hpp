@@ -2,22 +2,27 @@
 // naive reference path (nn/reference.cpp) and the tiled functional executor
 // (dataflow/executor.cpp).
 //
-// Three levers, all bit-identical to the plain loop nests they replace
-// (integer arithmetic is exact, so reassociation cannot change results):
+// Every path is bit-identical to the plain loop nests it replaces: Accum is
+// int64 and integer summation is exact under any reassociation.
 //
-//  * interior/border split — the padding-free output rectangle of a
-//    (layer, tile) pair is precomputed once and run with raw row-pointer
-//    loops: no per-element padding branch, contiguous over kx and x so the
-//    compiler can autovectorize. Only the border ring (receptive fields
-//    touching padding or leaving the tile buffer) takes the checked
-//    per-element path, which also keeps the executor's fused-pyramid
-//    geometry verification alive.
-//  * register blocking — a small block of output channels is computed per
-//    input-row pass with explicit accumulator arrays, so each loaded ifmap
-//    row is reused across maps instead of being re-streamed per map.
-//  * compression-aware zero skipping — per-(channel, input row) nonzero
-//    metadata lets conv/FC kernels skip all-zero rows and channels, tying
-//    compute cost to the same sparsity the stream codecs exploit.
+//  * conv — one kernel for every layer shape, vectorized over output
+//    channels. A layer's weights are packed once per run into kMapBlock-map
+//    int32 lanes (PackedWeights); each region copies its input window into
+//    a zero-haloed int32 buffer, so padding is plain zeros and the kernel
+//    has no border path; a dispatched block primitive then accumulates a
+//    few output positions x 8 maps in int64 registers. Dense: AlexNet's
+//    13-27-wide maps run as fast as 224-wide ones.
+//  * depthwise — reads the same halo copy one channel at a time and runs a
+//    row primitive across each output row, skipping all-zero input rows
+//    (flagged while copying), the compute-side twin of the stream codecs'
+//    zero compression.
+//  * pool — unpadded, so it checks its window against the buffer once and
+//    reads in place.
+//
+// The halo copy and the pool's window check are where the executor's
+// fused-pyramid geometry verification lives: a tile-local buffer that does
+// not cover an in-map element a region reads is a hard error, never a
+// silent zero.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +34,10 @@
 
 namespace mocha::nn::kernels {
 
-/// Output-channel register block: ifmap rows loaded once are reused across
-/// this many maps' accumulators before the next row pass. Callers that
-/// split a layer's channels cut them on multiples of this block.
-inline constexpr Index kMapBlock = 4;
+/// Output maps per packed weight lane group: the conv block primitive
+/// computes this many maps at once. Callers that split a layer's channels
+/// cut them on multiples of this block.
+inline constexpr Index kMapBlock = 8;
 
 /// Half-open 1-D output window [begin, begin + size). Mirrors
 /// dataflow::Range (nn cannot depend on dataflow).
@@ -75,52 +80,54 @@ struct PaddedInput {
   const Value* row_at(Index c, Index gy) const {
     return base + c * c_stride + (gy - origin_y) * row_stride;
   }
-
-  /// Checked read: padding returns 0, in-map reads outside the buffer die.
-  Value read_checked(Index c, Index gy, Index gx) const;
 };
 
-/// Per-(channel, input row) nonzero flags over the row window a region
-/// kernel will read, plus per-channel any-nonzero rollups. Built once per
-/// (layer, tile) and shared across every output-channel pass.
-class RowNonzero {
+/// A layer's weights in the layout its kernel reads, built once per layer
+/// per run and shared by every work item (never packed per item).
+///
+/// Conv weights are packed into kMapBlock-map lanes, [⌈out_c / 8⌉][in_c]
+/// [k][k][8] int32, lanes past out_c zero: the block primitive loads the 8
+/// maps of one (c, ky, kx) tap with one vector load. Other kinds read the
+/// caller's tensor in place, which must outlive this object.
+class PackedWeights {
  public:
-  /// Scans rows [y0, y0 + rows) x columns [x_lo, x_hi) of `channels`
-  /// channels. Rows fully outside the logical map are zero (padding); rows
-  /// whose in-buffer intersection with the column window is all zero are
-  /// marked skippable.
-  void build(const PaddedInput& in, Index channels, Index y0, Index rows,
-             Index x_lo, Index x_hi);
+  /// Pool layers: no weights.
+  PackedWeights() = default;
+  /// Packs (conv) or views (depthwise, FC) `weights`, which must match
+  /// layer.weight_shape(); pool layers ignore them.
+  PackedWeights(const LayerSpec& layer, const ValueTensor& weights);
+  PackedWeights(const LayerSpec&, ValueTensor&&) = delete;  // would dangle
 
-  bool row_nonzero(Index c, Index gy) const {
-    return rows_[static_cast<std::size_t>(c * n_rows_ + (gy - y0_))] != 0;
+  /// The unpacked tensor (depthwise and FC kernels).
+  const ValueTensor& raw() const;
+
+  /// The [in_c][k][k][8] lanes of conv map block `block`.
+  const std::int32_t* conv_block(Index block) const {
+    return lanes_.data() + block * block_elems_;
   }
-  bool channel_nonzero(Index c) const {
-    return channels_[static_cast<std::size_t>(c)] != 0;
-  }
+  /// Lanes per conv map block: in_c * k * k * kMapBlock, 0 unless conv.
+  Index block_elems() const { return block_elems_; }
 
  private:
-  std::vector<std::uint8_t> rows_;      // [channels x n_rows], 1 = has nonzero
-  std::vector<std::uint8_t> channels_;  // any row nonzero
-  Index y0_ = 0;
-  Index n_rows_ = 0;
+  const ValueTensor* raw_ = nullptr;
+  std::vector<std::int32_t> lanes_;
+  Index block_elems_ = 0;
 };
 
-/// Conv / FC partial: output maps [m_begin, m_end) over output window
-/// (out_y, out_x), written into `out` at offset (out_oy, out_ox). The
-/// caller may shard [0, out_channels) across threads — disjoint map slices
-/// make the parallel result bit-identical to the serial walk.
+/// Conv partial: output maps [m_begin, m_end) over output window
+/// (out_y, out_x), written into `out` at offset (out_oy, out_ox). A range
+/// that starts or ends inside a kMapBlock block computes the whole block
+/// and writes only its own maps.
 void conv_region(const LayerSpec& layer, const PaddedInput& in,
-                 const ValueTensor& weights, const RowNonzero& nz, Span out_y,
-                 Span out_x, Index m_begin, Index m_end, const Quant& quant,
+                 const PackedWeights& weights, Span out_y, Span out_x,
+                 Index m_begin, Index m_end, const Quant& quant,
                  ValueTensor* out, Index out_oy, Index out_ox);
 
 /// Depthwise conv partial over channels [c_begin, c_end).
 void depthwise_region(const LayerSpec& layer, const PaddedInput& in,
-                      const ValueTensor& weights, const RowNonzero& nz,
-                      Span out_y, Span out_x, Index c_begin, Index c_end,
-                      const Quant& quant, ValueTensor* out, Index out_oy,
-                      Index out_ox);
+                      const ValueTensor& weights, Span out_y, Span out_x,
+                      Index c_begin, Index c_end, const Quant& quant,
+                      ValueTensor* out, Index out_oy, Index out_ox);
 
 /// Max/average pool partial over channels [c_begin, c_end).
 void pool_region(const LayerSpec& layer, const PaddedInput& in, Span out_y,
@@ -137,12 +144,11 @@ void fc_region(const LayerSpec& layer, const Value* flat_in,
 /// The one compute entry point both the reference kernels and the
 /// executor's work items go through: output channels [m_begin, m_end) of
 /// the output window (out_y, out_x), written into `out` at offset
-/// (out_oy, out_ox). Builds the zero-skip metadata, then dispatches on
-/// layer.kind. Runs serially on the calling thread; callers split the
-/// channels across the pool, and disjoint slices make any split
-/// bit-identical to one call over every channel.
+/// (out_oy, out_ox), dispatched on layer.kind. Runs serially on the calling
+/// thread; callers split the channels across the pool, and disjoint slices
+/// make any split bit-identical to one call over every channel.
 void run_layer_region(const LayerSpec& layer, const PaddedInput& in,
-                      const ValueTensor& weights, Span out_y, Span out_x,
+                      const PackedWeights& weights, Span out_y, Span out_x,
                       Index m_begin, Index m_end, const Quant& quant,
                       ValueTensor* out, Index out_oy, Index out_ox);
 

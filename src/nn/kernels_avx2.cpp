@@ -2,10 +2,13 @@
 // (per-file, see src/CMakeLists.txt) and must only be *called* after the
 // runtime dispatch confirmed AVX2 — the rest of the binary stays portable.
 //
-// Bit-exactness argument, per primitive: products are int16 × int16 (fit
-// int32 exactly, so _mm256_mullo_epi32 on sign-extended lanes is the true
-// product) and accumulation is 4 × int64 lanes that cannot overflow, so
-// any lane split + horizontal fold equals the scalar left-to-right sum.
+// Bit-exactness argument, per primitive: products are of two int16-range
+// values, so _mm256_mul_epi32 (int64 product of the low signed 32 bits)
+// and _mm256_mullo_epi32 (int32 product, which fits) both give the true
+// product, and accumulation is int64 lanes that cannot overflow, so any
+// lane split + horizontal fold equals the scalar left-to-right sum.
+// _mm256_madd_epi16 would be faster but sums pairs of products in int32,
+// which overflows at full int16 range (two 2^30 products).
 //
 // Keep this file intrinsics-only: no STL, no MOCHA_CHECK. Any inline
 // symbol shared with portable TUs could be resolved to this TU's AVX2
@@ -18,51 +21,74 @@ namespace mocha::nn::kernels {
 
 namespace {
 
-/// a[x] += p[x] * wv for x in [0, n) — the stride-1 interior inner loop.
-inline void axpy_avx2(Accum* a, const Value* p, std::int32_t wv, Index n) {
-  const __m256i vw = _mm256_set1_epi32(wv);
-  Index x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + x));
-    const __m256i v32 = _mm256_cvtepi16_epi32(raw);
-    const __m256i prod = _mm256_mullo_epi32(v32, vw);
-    const __m256i p0 = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(prod));
-    const __m256i p1 =
-        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(prod, 1));
-    __m256i* a0 = reinterpret_cast<__m256i*>(a + x);
-    __m256i* a1 = reinterpret_cast<__m256i*>(a + x + 4);
-    _mm256_storeu_si256(a0, _mm256_add_epi64(_mm256_loadu_si256(a0), p0));
-    _mm256_storeu_si256(a1, _mm256_add_epi64(_mm256_loadu_si256(a1), p1));
+/// Output positions one register block covers: 2 accumulators each, plus
+/// the tap's two weight vectors and the broadcast input, fill 15 of the 16
+/// ymm registers.
+constexpr int kPositions = 6;
+
+/// XB output positions x 8 maps. Each tap loads the 8 packed int32 weights
+/// once; _mm256_mul_epi32 multiplies the low signed 32 bits of each 64-bit
+/// lane, so `we` supplies maps 0, 2, 4, 6 and `we >> 32` maps 1, 3, 5, 7,
+/// each against the input value broadcast to every lane: exact int64
+/// products, added into int64 register accumulators.
+template <int XB>
+void conv_positions(Accum* acc, const std::int32_t* in, Index stride,
+                    const Index* off, Index taps, const std::int32_t* w) {
+  // The XB loops are fully unrolled so the accumulators live in registers.
+  __m256i even[XB];
+  __m256i odd[XB];
+  const std::int32_t* p[XB];
+#pragma GCC unroll 8
+  for (int x = 0; x < XB; ++x) {
+    even[x] = _mm256_setzero_si256();
+    odd[x] = _mm256_setzero_si256();
+    p[x] = in + x * stride;
   }
-  for (; x < n; ++x) {
-    a[x] += static_cast<Accum>(p[x]) * wv;
+  for (Index t = 0; t < taps; ++t, w += 8) {
+    const __m256i we = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
+    const __m256i wo = _mm256_srli_epi64(we, 32);
+    const Index o = off[t];
+#pragma GCC unroll 8
+    for (int x = 0; x < XB; ++x) {
+      const __m256i v = _mm256_set1_epi32(p[x][o]);
+      even[x] = _mm256_add_epi64(even[x], _mm256_mul_epi32(v, we));
+      odd[x] = _mm256_add_epi64(odd[x], _mm256_mul_epi32(v, wo));
+    }
+  }
+#pragma GCC unroll 8
+  for (int x = 0; x < XB; ++x) {
+    const __m256i m0145 = _mm256_unpacklo_epi64(even[x], odd[x]);
+    const __m256i m2367 = _mm256_unpackhi_epi64(even[x], odd[x]);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + x * 8),
+                        _mm256_permute2x128_si256(m0145, m2367, 0x20));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + x * 8 + 4),
+                        _mm256_permute2x128_si256(m0145, m2367, 0x31));
   }
 }
 
-void conv_rows_avx2(Accum* acc, Index xspan, const Value* in_row,
-                    const Value* const* wrow, Index mcnt, Index kernel,
-                    Index stride) {
-  for (Index mi = 0; mi < mcnt; ++mi) {
-    const Value* w = wrow[mi];
-    Accum* a = acc + mi * xspan;
-    if (stride == 1) {
-      for (Index kx = 0; kx < kernel; ++kx) {
-        if (w[kx] == 0) continue;
-        axpy_avx2(a, in_row + kx, w[kx], xspan);
-      }
-    } else {
-      // Strided reads do not vectorize profitably on AVX2 (no cheap int16
-      // gather); the scalar walk keeps the variant exact everywhere.
-      for (Index kx = 0; kx < kernel; ++kx) {
-        const Accum wv = w[kx];
-        if (wv == 0) continue;
-        const Value* p = in_row + kx;
-        for (Index x = 0; x < xspan; ++x) {
-          a[x] += static_cast<Accum>(p[x * stride]) * wv;
-        }
-      }
-    }
+void conv_block_avx2(Accum* acc, Index xspan, const std::int32_t* in,
+                     Index stride, const Index* off, Index taps,
+                     const std::int32_t* w) {
+  Index x = 0;
+  for (; x + kPositions <= xspan; x += kPositions) {
+    conv_positions<kPositions>(acc + x * 8, in + x * stride, stride, off,
+                               taps, w);
+  }
+  acc += x * 8;
+  in += x * stride;
+  switch (xspan - x) {
+    case 5:
+      return conv_positions<5>(acc, in, stride, off, taps, w);
+    case 4:
+      return conv_positions<4>(acc, in, stride, off, taps, w);
+    case 3:
+      return conv_positions<3>(acc, in, stride, off, taps, w);
+    case 2:
+      return conv_positions<2>(acc, in, stride, off, taps, w);
+    case 1:
+      return conv_positions<1>(acc, in, stride, off, taps, w);
+    default:
+      return;
   }
 }
 
@@ -128,26 +154,17 @@ Accum fc_dot_sparse_avx2(const std::int32_t* idx, const std::int32_t* val,
   return sum;
 }
 
-bool any_nonzero_avx2(const Value* p, Index n) {
-  Index i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-    if (!_mm256_testz_si256(v, v)) return true;
-  }
-  for (; i < n; ++i) {
-    if (p[i] != 0) return true;
-  }
-  return false;
-}
-
-constexpr KernelOps kAvx2Ops = {
-    util::KernelIsa::Avx2, conv_rows_avx2,   fc_dot_dense_avx2,
-    fc_dot_sparse_avx2,    any_nonzero_avx2,
-};
-
 }  // namespace
 
-const KernelOps& avx2_kernel_ops() { return kAvx2Ops; }
+// The depthwise row pass runs the scalar oracle: no benchmark workload
+// runs a depthwise layer to show a vector variant pays for itself.
+const KernelOps& avx2_kernel_ops() {
+  static const KernelOps ops = {
+      util::KernelIsa::Avx2,         conv_block_avx2,
+      scalar_kernel_ops().conv_row,  fc_dot_dense_avx2,
+      fc_dot_sparse_avx2,
+  };
+  return ops;
+}
 
 }  // namespace mocha::nn::kernels

@@ -9,30 +9,28 @@ namespace mocha::nn::kernels {
 
 namespace {
 
-void conv_rows_scalar(Accum* acc, Index xspan, const Value* in_row,
-                      const Value* const* wrow, Index mcnt, Index kernel,
-                      Index stride) {
-  for (Index mi = 0; mi < mcnt; ++mi) {
-    const Value* w = wrow[mi];
-    Accum* a = acc + mi * xspan;
-    if (stride == 1) {
-      for (Index kx = 0; kx < kernel; ++kx) {
-        const Accum wv = w[kx];
-        if (wv == 0) continue;
-        const Value* p = in_row + kx;
-        for (Index x = 0; x < xspan; ++x) {
-          a[x] += static_cast<Accum>(p[x]) * wv;
-        }
-      }
-    } else {
-      for (Index kx = 0; kx < kernel; ++kx) {
-        const Accum wv = w[kx];
-        if (wv == 0) continue;
-        const Value* p = in_row + kx;
-        for (Index x = 0; x < xspan; ++x) {
-          a[x] += static_cast<Accum>(p[x * stride]) * wv;
-        }
-      }
+void conv_block_scalar(Accum* acc, Index xspan, const std::int32_t* in,
+                       Index stride, const Index* off, Index taps,
+                       const std::int32_t* w) {
+  for (Index x = 0; x < xspan; ++x) {
+    Accum* a = acc + x * 8;
+    for (Index j = 0; j < 8; ++j) a[j] = 0;
+    const std::int32_t* p = in + x * stride;
+    for (Index t = 0; t < taps; ++t) {
+      const Accum v = p[off[t]];
+      for (Index j = 0; j < 8; ++j) a[j] += v * w[t * 8 + j];
+    }
+  }
+}
+
+void conv_row_scalar(Accum* acc, Index xspan, const std::int32_t* in_row,
+                     const Value* w, Index kernel, Index stride) {
+  for (Index kx = 0; kx < kernel; ++kx) {
+    const Accum wv = w[kx];
+    if (wv == 0) continue;
+    const std::int32_t* p = in_row + kx;
+    for (Index x = 0; x < xspan; ++x) {
+      acc[x] += static_cast<Accum>(p[x * stride]) * wv;
     }
   }
 }
@@ -54,16 +52,9 @@ Accum fc_dot_sparse_scalar(const std::int32_t* idx, const std::int32_t* val,
   return acc;
 }
 
-bool any_nonzero_scalar(const Value* p, Index n) {
-  for (Index i = 0; i < n; ++i) {
-    if (p[i] != 0) return true;
-  }
-  return false;
-}
-
 constexpr KernelOps kScalarOps = {
-    util::KernelIsa::Scalar, conv_rows_scalar,     fc_dot_dense_scalar,
-    fc_dot_sparse_scalar,    any_nonzero_scalar,
+    util::KernelIsa::Scalar, conv_block_scalar,    conv_row_scalar,
+    fc_dot_dense_scalar,     fc_dot_sparse_scalar,
 };
 
 }  // namespace

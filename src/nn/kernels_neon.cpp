@@ -13,50 +13,6 @@ namespace mocha::nn::kernels {
 
 namespace {
 
-/// a[x] += p[x] * wv for x in [0, n) — the stride-1 interior inner loop.
-inline void axpy_neon(Accum* a, const Value* p, std::int16_t wv, Index n) {
-  Index x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const int16x8_t v = vld1q_s16(p + x);
-    const int32x4_t lo = vmull_n_s16(vget_low_s16(v), wv);
-    const int32x4_t hi = vmull_n_s16(vget_high_s16(v), wv);
-    vst1q_s64(a + x, vaddw_s32(vld1q_s64(a + x), vget_low_s32(lo)));
-    vst1q_s64(a + x + 2,
-              vaddw_s32(vld1q_s64(a + x + 2), vget_high_s32(lo)));
-    vst1q_s64(a + x + 4,
-              vaddw_s32(vld1q_s64(a + x + 4), vget_low_s32(hi)));
-    vst1q_s64(a + x + 6,
-              vaddw_s32(vld1q_s64(a + x + 6), vget_high_s32(hi)));
-  }
-  for (; x < n; ++x) {
-    a[x] += static_cast<Accum>(p[x]) * wv;
-  }
-}
-
-void conv_rows_neon(Accum* acc, Index xspan, const Value* in_row,
-                    const Value* const* wrow, Index mcnt, Index kernel,
-                    Index stride) {
-  for (Index mi = 0; mi < mcnt; ++mi) {
-    const Value* w = wrow[mi];
-    Accum* a = acc + mi * xspan;
-    if (stride == 1) {
-      for (Index kx = 0; kx < kernel; ++kx) {
-        if (w[kx] == 0) continue;
-        axpy_neon(a, in_row + kx, w[kx], xspan);
-      }
-    } else {
-      for (Index kx = 0; kx < kernel; ++kx) {
-        const Accum wv = w[kx];
-        if (wv == 0) continue;
-        const Value* p = in_row + kx;
-        for (Index x = 0; x < xspan; ++x) {
-          a[x] += static_cast<Accum>(p[x * stride]) * wv;
-        }
-      }
-    }
-  }
-}
-
 Accum fc_dot_dense_neon(const Value* x, const Value* w, Index n) {
   int64x2_t acc = vdupq_n_s64(0);
   Index i = 0;
@@ -86,25 +42,18 @@ Accum fc_dot_sparse_neon(const std::int32_t* idx, const std::int32_t* val,
   return acc;
 }
 
-bool any_nonzero_neon(const Value* p, Index n) {
-  Index i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const uint16x8_t v = vreinterpretq_u16_s16(vld1q_s16(p + i));
-    if (vmaxvq_u16(v) != 0) return true;
-  }
-  for (; i < n; ++i) {
-    if (p[i] != 0) return true;
-  }
-  return false;
-}
-
-constexpr KernelOps kNeonOps = {
-    util::KernelIsa::Neon, conv_rows_neon,   fc_dot_dense_neon,
-    fc_dot_sparse_neon,    any_nonzero_neon,
-};
-
 }  // namespace
 
-const KernelOps& neon_kernel_ops() { return kNeonOps; }
+// The conv block and the depthwise row pass run the scalar oracle on NEON:
+// there is no AArch64 toolchain or CI to build and test vector variants
+// against it, and no benchmark workload runs a depthwise layer.
+const KernelOps& neon_kernel_ops() {
+  static const KernelOps ops = {
+      util::KernelIsa::Neon,          scalar_kernel_ops().conv_block,
+      scalar_kernel_ops().conv_row,   fc_dot_dense_neon,
+      fc_dot_sparse_neon,
+  };
+  return ops;
+}
 
 }  // namespace mocha::nn::kernels

@@ -16,7 +16,9 @@ struct Quant {
   int frac_shift = 8;
 
   Value requantize(Accum acc, bool relu) const {
-    if (relu && acc < 0) acc = 0;
+    // A select, not a branch on the sign: about half of a layer's sums are
+    // negative in no predictable order, so a branch mispredicts often.
+    if (relu) acc = std::max<Accum>(acc, 0);
     // Arithmetic shift on a signed value: round toward negative infinity,
     // matching what a hardware barrel shifter does.
     const Accum shifted = acc >> frac_shift;

@@ -6,30 +6,33 @@
 namespace mocha::nn {
 
 // The reference entry points validate shapes, then run the packed
-// microkernels (nn/kernels.hpp) over the whole output: the same interior/
-// border-split, register-blocked, zero-skipping loops the tiled executor
-// uses, which keeps exactly one compute implementation in the tree. They
-// shard output channels across the thread pool; disjoint slices make the
-// parallel result bit-identical to the serial walk, and integer
-// arithmetic makes the packed loops bit-identical to the naive loop nests
-// (tests/nn/kernels_test.cpp keeps a naive oracle to enforce this).
+// microkernels (nn/kernels.hpp) over the whole output: the same halo-copy,
+// packed-weight block kernels the tiled executor uses, which keeps exactly
+// one compute implementation in the tree. They shard output channels
+// across the thread pool; disjoint slices make the parallel result
+// bit-identical to the serial walk, and integer arithmetic makes the packed
+// loops bit-identical to the naive loop nests (tests/nn/kernels_test.cpp
+// keeps a naive oracle to enforce this).
 
 namespace {
 
-/// Runs the whole output of `layer`, output channels split on the pool in
-/// whole register blocks.
+/// Runs the whole output of `layer`: weights packed once, output channels
+/// split on the pool in whole kMapBlock blocks (a chunk boundary inside a
+/// block would compute that block twice).
 ValueTensor run_whole_layer(const LayerSpec& layer,
                             const kernels::PaddedInput& in,
                             const ValueTensor& weights, const Quant& quant) {
   ValueTensor out(layer.output_shape());
+  const kernels::PackedWeights packed(layer, weights);
   const Index maps = layer.out_channels();
-  util::parallel_for(0, maps, util::default_grain(maps, kernels::kMapBlock),
-                     [&](Index m_begin, Index m_end) {
-                       kernels::run_layer_region(
-                           layer, in, weights, {0, layer.out_h()},
-                           {0, layer.out_w()}, m_begin, m_end, quant, &out,
-                           0, 0);
-                     });
+  const Index block = kernels::kMapBlock;
+  const Index grain =
+      (util::default_grain(maps, block) + block - 1) / block * block;
+  util::parallel_for(0, maps, grain, [&](Index m_begin, Index m_end) {
+    kernels::run_layer_region(layer, in, packed, {0, layer.out_h()},
+                              {0, layer.out_w()}, m_begin, m_end, quant, &out,
+                              0, 0);
+  });
   return out;
 }
 
