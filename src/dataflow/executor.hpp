@@ -7,10 +7,10 @@
 // transformations (halo handling, pass accumulation, fused recompute) are
 // *correct*, not merely accounted for.
 //
-// When a stream has a codec assigned, the executor round-trips the real
-// data through the codec (encode + decode, asserting equality) and records
-// the measured coded sizes, which tests compare against the analytical
-// estimators the cost model relies on.
+// When a stream has a codec assigned, the executor encodes the real data
+// through the codec, verifies the coded bytes decode element-exact
+// (Codec::first_mismatch) and records the measured coded sizes, which tests
+// compare against the analytical estimators the cost model relies on.
 #pragma once
 
 #include <vector>
@@ -53,10 +53,11 @@ struct FunctionalOptions {
   /// decode matches). Disable only for large sweeps where the coded sizes
   /// are not needed.
   bool exercise_codecs = true;
-  /// With exercise_codecs, also decode every coded stream and assert it
-  /// matches the input element-exact. The measured coded byte counts are
-  /// identical either way, so benchmarks turn this off to price streams at
-  /// encode-only cost while tests keep the full round-trip proof.
+  /// With exercise_codecs, also check that every coded stream decodes to
+  /// the input element-exact (Codec::first_mismatch). The measured coded
+  /// byte counts are identical either way. Only serving turns this off, to
+  /// price streams at encode-only cost; tests and perfbench's exec workload
+  /// keep the full round-trip proof.
   bool verify_codecs = true;
   /// Transient-fault injection on the compressed path: per-byte probability
   /// that a framed coded stream suffers a single-bit flip in flight
@@ -92,37 +93,5 @@ FunctionalResult run_functional(const nn::Network& net,
                                 const nn::ValueTensor& input,
                                 const std::vector<nn::ValueTensor>& weights,
                                 const FunctionalOptions& options = {});
-
-/// One image of a coalesced batch run (see run_functional_batch).
-struct BatchInput {
-  const nn::ValueTensor* input = nullptr;
-  /// Per-image cancellation: this image's token (null = uncancellable).
-  /// Overrides FunctionalOptions::cancel for its image only.
-  const util::CancelToken* cancel = nullptr;
-  /// Per-image transient-fault seed (FunctionalOptions::codec_fault_seed).
-  std::uint64_t codec_fault_seed = 1;
-};
-
-struct BatchOutput {
-  /// This image's token fired mid-run; `result` is empty and the remaining
-  /// images still executed.
-  bool cancelled = false;
-  FunctionalResult result;
-};
-
-/// Cross-request batching: executes every image of `items` under one plan
-/// in a single executor pass. Validation and — when no transient faults
-/// are being injected (codec_flip_rate == 0, so the measurement is
-/// seed-independent) — the per-layer kernel-stream codec measurement run
-/// once for the whole batch instead of once per image; image outputs are
-/// bit-identical to per-image run_functional calls. Each image runs under
-/// its own cancel token and fault seed, so per-request deadline semantics
-/// survive coalescing: a cancelled image is marked and skipped, the batch
-/// carries on.
-std::vector<BatchOutput> run_functional_batch(
-    const nn::Network& net, const NetworkPlan& plan,
-    const std::vector<BatchInput>& items,
-    const std::vector<nn::ValueTensor>& weights,
-    const FunctionalOptions& options = {});
 
 }  // namespace mocha::dataflow

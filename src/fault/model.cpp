@@ -245,8 +245,8 @@ fabric::FabricConfig degraded_config(const fabric::FabricConfig& base,
   return config;
 }
 
-void record_metrics(const fabric::FabricConfig& base,
-                    const FaultModel& faults) {
+void record_metrics([[maybe_unused]] const fabric::FabricConfig& base,
+                    [[maybe_unused]] const FaultModel& faults) {
   MOCHA_METRIC_GAUGE("fault.active", faults.any() ? 1 : 0);
   MOCHA_METRIC_GAUGE("fault.dead_pes",
                      static_cast<std::int64_t>(faults.dead_pes.size()));

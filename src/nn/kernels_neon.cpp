@@ -31,27 +31,18 @@ Accum fc_dot_dense_neon(const Value* x, const Value* w, Index n) {
   return sum;
 }
 
-Accum fc_dot_sparse_neon(const std::int32_t* idx, const std::int32_t* val,
-                         Index nnz, const Value* w, Index /*fan_in*/) {
-  // AdvSIMD has no gather; the scattered weight reads stay scalar but the
-  // compacted (index, value) stream still skips every zero input.
-  Accum acc = 0;
-  for (Index i = 0; i < nnz; ++i) {
-    acc += static_cast<Accum>(val[i]) * static_cast<Accum>(w[idx[i]]);
-  }
-  return acc;
-}
-
 }  // namespace
 
-// The conv block and the depthwise row pass run the scalar oracle on NEON:
-// there is no AArch64 toolchain or CI to build and test vector variants
-// against it, and no benchmark workload runs a depthwise layer.
+// The conv block, the depthwise row pass and the FC nonzero-gather dot run
+// the scalar oracle on NEON: there is no AArch64 toolchain or CI to build
+// and test vector variants against it, no benchmark workload runs a
+// depthwise layer, and AdvSIMD has no gather, so a NEON gather dot would be
+// the oracle's own scalar loop.
 const KernelOps& neon_kernel_ops() {
   static const KernelOps ops = {
       util::KernelIsa::Neon,          scalar_kernel_ops().conv_block,
       scalar_kernel_ops().conv_row,   fc_dot_dense_neon,
-      fc_dot_sparse_neon,
+      scalar_kernel_ops().fc_dot_sparse,
   };
   return ops;
 }

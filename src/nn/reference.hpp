@@ -1,8 +1,10 @@
-// Naive reference implementations of the CNN operators.
+// Whole-layer reference entry points for the CNN operators.
 //
-// These are the ground truth the accelerator's tiled/fused/parallel execution
-// is verified against: deliberately simple loop nests with no locality
-// transformations, shared requantization rule (nn/quant.hpp).
+// The tiled/fused/parallel executor is verified against these: each runs
+// kernels::run_layer_region over the layer's whole output, with no tiling,
+// fusion or pass splitting, and the shared requantization rule
+// (nn/quant.hpp). The naive loop-nest oracle that the kernels themselves
+// are checked against lives in tests/nn/kernels_test.cpp.
 #pragma once
 
 #include <vector>

@@ -1,7 +1,6 @@
 #include "serve/engine.hpp"
 
-#include <algorithm>
-#include <sstream>
+#include <optional>
 #include <utility>
 
 #include "compress/codec.hpp"
@@ -82,15 +81,12 @@ ServeEngine::ServeEngine(ServeOptions options)
   lanes_.shed = lane("shed");
   lanes_.failed = lane("failed");
   lanes_.latency_us = lane("latency_us");
-  lanes_.batches = lane("batches");
-  lanes_.batch_coalesced = lane("batch_coalesced");
   lanes_.exec_stalls = lane("exec_stalls");
   lanes_.steals_out = lane("steals_out");
   lanes_.steals_in = lane("steals_in");
   lanes_.breaker_prefix = lane("breaker_state.");
 
   MOCHA_CHECK(options_.workers >= 1, "serve engine needs >= 1 worker");
-  MOCHA_CHECK(options_.max_batch >= 1, "max_batch must be >= 1");
   MOCHA_CHECK(options_.retry.max_attempts >= 1,
               "retry.max_attempts must be >= 1");
   workers_.reserve(static_cast<std::size_t>(options_.workers));
@@ -312,27 +308,21 @@ bool ServeEngine::has_plan(const std::string& model) {
 }
 
 void ServeEngine::publish_breaker_gauge(Model& model) {
-  const BreakerState state = model.breaker->state(util::steady_now_ns());
+  [[maybe_unused]] const BreakerState state =
+      model.breaker->state(util::steady_now_ns());
   MOCHA_METRIC_GAUGE(lanes_.breaker_prefix + model.name,
                      static_cast<std::int64_t>(state));
 }
 
 void ServeEngine::worker_loop() {
   for (;;) {
-    std::vector<QueuedRequest> batch =
-        queue_.pop_batch(static_cast<std::size_t>(options_.max_batch));
-    if (batch.empty()) return;  // closed and drained
+    std::optional<QueuedRequest> item = queue_.pop();
+    if (!item) return;  // closed and drained
     {
       std::lock_guard<std::mutex> lock(inflight_mu_);
-      for (const QueuedRequest& item : batch) {
-        inflight_.insert(item.ticket.get());
-      }
+      inflight_.insert(item->ticket.get());
     }
-    if (batch.size() == 1) {
-      process(std::move(batch.front()));
-    } else {
-      process_batch(std::move(batch));
-    }
+    process(std::move(*item));
   }
 }
 
@@ -500,121 +490,6 @@ void ServeEngine::process(QueuedRequest item) {
   }
 }
 
-void ServeEngine::process_batch(std::vector<QueuedRequest> items) {
-  // Batch semantics are only sound when one executor pass serves every
-  // request identically: transient-fault injection needs per-attempt seeds
-  // wired into per-request retry, and injected stalls are per-ticket. In
-  // those regimes (and for a model unregistered since submit) the batch
-  // degrades to the per-request path.
-  double flip_rate = 0;
-  std::int64_t stall_ms = 0;
-  {
-    std::lock_guard<std::mutex> lock(fault_mu_);
-    flip_rate = have_faults_ ? faults_.codec_bit_flip_rate : 0;
-    stall_ms = have_faults_ ? faults_.exec_stall_ms : 0;
-  }
-  Model* model = find_model(items.front().request.model);
-  if (flip_rate > 0 || stall_ms > 0 || model == nullptr) {
-    for (QueuedRequest& item : items) process(std::move(item));
-    return;
-  }
-
-  MOCHA_TRACE_SCOPE("serve.batch", "serve");
-  const std::uint64_t dequeued = util::steady_now_ns();
-  std::vector<QueuedRequest> live;
-  std::vector<Response> resps;
-  live.reserve(items.size());
-  resps.reserve(items.size());
-  for (QueuedRequest& item : items) {
-    Response resp;
-    resp.queue_ns = dequeued - item.admitted_ns;
-    MOCHA_METRIC_HIST(lanes_.queue_wait_us,
-                      static_cast<std::int64_t>(resp.queue_ns / 1000));
-    util::CancelToken& token = item.ticket->token();
-    if (token.cancelled()) {
-      resp.outcome = token.cancel_requested() ? Outcome::Cancelled
-                                              : Outcome::DeadlineExceeded;
-      resp.message = "expired while queued";
-      finish(item, std::move(resp));
-    } else {
-      live.push_back(std::move(item));
-      resps.push_back(std::move(resp));
-    }
-  }
-  if (live.empty()) return;
-
-  const std::uint64_t start = util::steady_now_ns();
-  const bool primary = model->breaker->allow_primary(start);
-  try {
-    std::shared_ptr<const dataflow::NetworkPlan> plan =
-        plan_for(*model, primary);
-
-    dataflow::FunctionalOptions exec;
-    exec.quant = options_.quant;
-    exec.codec_retry_budget = options_.codec_retry_budget;
-    // No flips in this regime (checked above) -> no measurement needed.
-    exec.exercise_codecs = false;
-    exec.verify_codecs = false;
-
-    std::vector<dataflow::BatchInput> inputs(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      inputs[i].input = &live[i].request.input;
-      inputs[i].cancel = &live[i].ticket->token();
-      inputs[i].codec_fault_seed = mix_seed(live[i].id, 1);
-    }
-    std::vector<dataflow::BatchOutput> outs;
-    {
-      MOCHA_TRACE_SCOPE("serve.execute", "serve");
-      outs = dataflow::run_functional_batch(model->net, *plan, inputs,
-                                            model->weights, exec);
-    }
-    const std::uint64_t end = util::steady_now_ns();
-    if (primary) {
-      model->breaker->record_primary_success(end, end - start);
-      publish_breaker_gauge(*model);
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batch_coalesced_.fetch_add(static_cast<std::int64_t>(live.size()),
-                               std::memory_order_relaxed);
-    MOCHA_METRIC_ADD(lanes_.batches, 1);
-    MOCHA_METRIC_ADD(lanes_.batch_coalesced,
-                     static_cast<std::int64_t>(live.size()));
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Response& resp = resps[i];
-      resp.attempts = 1;
-      if (outs[i].cancelled) {
-        resp.outcome = live[i].ticket->token().cancel_requested()
-                           ? Outcome::Cancelled
-                           : Outcome::DeadlineExceeded;
-        resp.message = "cancelled mid-batch";
-      } else {
-        resp.outcome = Outcome::Completed;
-        resp.output = std::move(outs[i].result.outputs.back());
-        resp.codec_retries += outs[i].result.codec_retries;
-        resp.fallback_plan = !primary;
-        if (!primary) {
-          fallback_completions_.fetch_add(1, std::memory_order_relaxed);
-          MOCHA_METRIC_ADD(lanes_.fallback_completions, 1);
-        }
-        MOCHA_METRIC_HIST(lanes_.exec_latency_us,
-                          static_cast<std::int64_t>((end - start) / 1000));
-      }
-      finish(live[i], std::move(resp));
-    }
-  } catch (const std::exception&) {
-    // Plan or execution failed at batch granularity (CheckFailure, or the
-    // defensive catch-all). Nothing was finished on this path — finishes
-    // happen only after a successful batch run — so fall back to the
-    // per-request path: each request re-runs individually and books its own
-    // breaker/retry outcome, with no double counting.
-    if (primary) {
-      model->breaker->record_primary_failure(util::steady_now_ns());
-      publish_breaker_gauge(*model);
-    }
-    for (QueuedRequest& item : live) process(std::move(item));
-  }
-}
-
 std::size_t ServeEngine::transfer_to(ServeEngine& dst, std::size_t max) {
   MOCHA_CHECK(&dst != this, "transfer_to: source and destination identical");
   std::vector<QueuedRequest> taken = queue_.steal_back(max);
@@ -652,7 +527,7 @@ void ServeEngine::finish(const QueuedRequest& item, Response&& response) {
   const Outcome outcome = response.outcome;
   MOCHA_CHECK(outcome != Outcome::Pending, "finish with Pending outcome");
   response.latency_ns = util::steady_now_ns() - item.admitted_ns;
-  const std::uint64_t latency_ns = response.latency_ns;
+  [[maybe_unused]] const std::uint64_t latency_ns = response.latency_ns;
 
   const bool resolved = item.ticket->resolve(std::move(response));
   {
@@ -723,8 +598,6 @@ ServeStats ServeEngine::stats() const {
   out.retries = retries_.load(std::memory_order_relaxed);
   out.fallback_completions =
       fallback_completions_.load(std::memory_order_relaxed);
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.batch_coalesced = batch_coalesced_.load(std::memory_order_relaxed);
   return out;
 }
 

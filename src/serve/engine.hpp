@@ -65,12 +65,6 @@ struct ServeOptions {
   /// Per-tenant token bucket; rate <= 0 disables metering.
   double tenant_rate_per_sec = 0;
   double tenant_burst = 4;
-  /// Cross-request batching: a worker dequeues up to this many same-model
-  /// requests (priority-then-FIFO order preserved) and runs them as one
-  /// executor pass — validation and kernel-stream measurement amortize
-  /// across the batch. 1 = no coalescing. Batching steps aside whenever
-  /// per-request semantics demand it (transient-fault injection, stalls).
-  int max_batch = 1;
   /// Metric-lane scope (obs::lane_name): per-shard engines pass "shardK" so
   /// every counter/gauge/histogram lands in its own fault-domain lane
   /// ("serve.shardK.completed"). Empty = the legacy "serve.*" names.
@@ -106,10 +100,6 @@ struct ServeStats {
   /// the engine that finishes it.
   std::int64_t stolen_in = 0;
   std::int64_t stolen_out = 0;
-  /// Coalesced executor passes (cross-request batching, max_batch > 1) and
-  /// the requests served by them.
-  std::int64_t batches = 0;
-  std::int64_t batch_coalesced = 0;
 
   std::int64_t accepted() const { return submitted - shed; }
   std::int64_t outcome_count(Outcome o) const {
@@ -197,8 +187,7 @@ class ServeEngine {
     std::string submitted, rate_limited, shed_overload, plan_cache_hits,
         plans_built, queue_wait_us, exec_latency_us, fallback_completions,
         retries, retryable_failures, completed, shed, failed, latency_us,
-        batches, batch_coalesced, exec_stalls, steals_out, steals_in,
-        breaker_prefix;
+        exec_stalls, steals_out, steals_in, breaker_prefix;
   };
 
   Model* find_model(const std::string& name);
@@ -207,9 +196,6 @@ class ServeEngine {
                                                         bool primary);
   void worker_loop();
   void process(QueuedRequest item);
-  /// Coalesced path for a same-model batch (worker thread). Falls back to
-  /// per-request process() whenever batch semantics would be lossy.
-  void process_batch(std::vector<QueuedRequest> items);
   /// Resolves the ticket and books the terminal outcome into the stats.
   void finish(const QueuedRequest& item, Response&& response);
   void publish_breaker_gauge(Model& model);
@@ -245,8 +231,6 @@ class ServeEngine {
   std::atomic<std::int64_t> fallback_completions_{0};
   std::atomic<std::int64_t> stolen_in_{0};
   std::atomic<std::int64_t> stolen_out_{0};
-  std::atomic<std::int64_t> batches_{0};
-  std::atomic<std::int64_t> batch_coalesced_{0};
   std::atomic<std::int64_t> by_outcome_[8] = {};
 };
 

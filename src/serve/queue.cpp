@@ -46,31 +46,6 @@ std::optional<QueuedRequest> AdmissionQueue::pop() {
   return item;
 }
 
-std::vector<QueuedRequest> AdmissionQueue::pop_batch(std::size_t max) {
-  MOCHA_CHECK(max >= 1, "pop_batch with max=0");
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-  std::vector<QueuedRequest> batch;
-  if (queue_.empty()) return batch;  // closed and drained
-  batch.push_back(std::move(queue_.extract(queue_.begin()).value()));
-  // Coalesce same-model entries in ranking order: the batch never reorders
-  // work relative to single pops, it only widens the head. Copy (not
-  // reference) the key: push_back below may reallocate the vector.
-  const std::string model = batch.front().request.model;
-  for (auto it = queue_.begin(); it != queue_.end() && batch.size() < max;) {
-    if (it->request.model == model) {
-      auto next = std::next(it);
-      batch.push_back(std::move(queue_.extract(it).value()));
-      it = next;
-    } else {
-      ++it;
-    }
-  }
-  MOCHA_METRIC_GAUGE(depth_gauge_,
-                     static_cast<std::int64_t>(queue_.size()));
-  return batch;
-}
-
 std::vector<QueuedRequest> AdmissionQueue::steal_back(std::size_t max) {
   std::vector<QueuedRequest> out;
   std::lock_guard<std::mutex> lock(mu_);

@@ -56,12 +56,6 @@ class AdmissionQueue {
   /// exit signal.
   std::optional<QueuedRequest> pop();
 
-  /// Batch dequeue: takes the highest-priority entry plus up to `max - 1`
-  /// further entries for the *same model* (in priority-then-FIFO order), so
-  /// a worker can coalesce them into one executor pass. Blocks like pop();
-  /// empty result means closed and drained. `max >= 1`.
-  std::vector<QueuedRequest> pop_batch(std::size_t max);
-
   /// Work stealing: removes up to `max` entries from the *back* of the
   /// queue — the lowest-priority, youngest work, i.e. what would otherwise
   /// wait the longest here. Never blocks; may return fewer (or none).

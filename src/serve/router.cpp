@@ -440,7 +440,7 @@ void ShardRouter::tick(std::uint64_t now_ns) {
   if (options_.steal && options_.shards > 1) steal_tick();
 
   for (int i = 0; i < options_.shards; ++i) {
-    Shard& shard = *shards_[static_cast<std::size_t>(i)];
+    [[maybe_unused]] Shard& shard = *shards_[static_cast<std::size_t>(i)];
     MOCHA_METRIC_GAUGE(
         shard.state_gauge,
         static_cast<std::int64_t>(shard.health.state(now_ns)));

@@ -23,7 +23,8 @@ TEST(Baseline, SubstrateHasNoMochaHardware) {
 TEST(Baseline, SharedSubstrateMatchesMocha) {
   const auto mocha = fabric::mocha_default_config();
   for (Strategy strategy : kAllStrategies) {
-    const auto& config = make_baseline_accelerator(strategy).config();
+    const core::Accelerator acc = make_baseline_accelerator(strategy);
+    const auto& config = acc.config();
     EXPECT_EQ(config.pe_rows, mocha.pe_rows);
     EXPECT_EQ(config.pe_cols, mocha.pe_cols);
     EXPECT_EQ(config.sram_bytes, mocha.sram_bytes);

@@ -118,7 +118,8 @@ TEST(Schedule, ZeroSkipReducesExecutedMacs) {
   // Skipped MACs shorten the compute tasks themselves.
   const auto compute_cycles = [](Harness& h) {
     sim::Cycle total = 0;
-    for (const sim::Task& t : h.build(0, 0).graph.tasks()) {
+    const BuiltSchedule built = h.build(0, 0);
+    for (const sim::Task& t : built.graph.tasks()) {
       if (t.kind == sim::TaskKind::Compute) total += t.duration;
     }
     return total;

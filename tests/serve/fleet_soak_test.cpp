@@ -59,7 +59,6 @@ int run() {
   options.engine.workers = 2;
   options.engine.queue_capacity = 8;
   options.engine.default_deadline_ms = 250;
-  options.engine.max_batch = 3;  // cross-request batching in the mix too
   options.engine.retry.max_attempts = 2;
   options.engine.retry.backoff_base_ms = 1;
   options.engine.codec_retry_budget = 0;

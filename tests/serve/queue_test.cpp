@@ -127,49 +127,6 @@ TEST(AdmissionQueue, DrainReturnsEverything) {
   EXPECT_EQ(queue.size(), 0u);
 }
 
-QueuedRequest make_model_item(std::uint64_t id, int priority,
-                              const std::string& model) {
-  QueuedRequest item = make_item(id, priority);
-  item.request.model = model;
-  return item;
-}
-
-TEST(AdmissionQueue, PopBatchCoalescesSameModelInRankingOrder) {
-  AdmissionQueue queue(8);
-  QueuedRequest evicted;
-  queue.push(make_model_item(1, 5, "a"), &evicted);
-  queue.push(make_model_item(2, 5, "b"), &evicted);
-  queue.push(make_model_item(3, 3, "a"), &evicted);
-  queue.push(make_model_item(4, 3, "a"), &evicted);
-  // Head is id=1 (model a); the batch takes the further "a" entries in
-  // priority-then-FIFO order, skipping over the "b" entry without
-  // reordering it.
-  const auto batch = queue.pop_batch(8);
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[0].id, 1u);
-  EXPECT_EQ(batch[1].id, 3u);
-  EXPECT_EQ(batch[2].id, 4u);
-  // The skipped entry is still next in line.
-  EXPECT_EQ(queue.pop()->id, 2u);
-}
-
-TEST(AdmissionQueue, PopBatchHonoursMax) {
-  AdmissionQueue queue(8);
-  QueuedRequest evicted;
-  for (std::uint64_t id = 1; id <= 5; ++id) {
-    queue.push(make_model_item(id, 0, "m"), &evicted);
-  }
-  EXPECT_EQ(queue.pop_batch(2).size(), 2u);
-  EXPECT_EQ(queue.pop_batch(1).size(), 1u);
-  EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(AdmissionQueue, PopBatchEmptyMeansClosedAndDrained) {
-  AdmissionQueue queue(4);
-  queue.close();
-  EXPECT_TRUE(queue.pop_batch(4).empty());
-}
-
 TEST(AdmissionQueue, StealBackTakesLowestPriorityYoungestFirst) {
   AdmissionQueue queue(8);
   QueuedRequest evicted;

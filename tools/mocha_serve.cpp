@@ -57,7 +57,6 @@ struct Args {
   int shards = 1;
   int workers = 2;
   int queue_cap = 16;
-  int batch_max = 1;
   std::int64_t deadline_ms = 1000;
   int priority_levels = 3;
   int tenants = 2;
@@ -112,8 +111,7 @@ Args parse(int argc, char** argv) {
       argc, argv,
       " [--network alexnet|vgg16|lenet5|nin|mobilenet] [--requests N] "
       "[--rate RPS]\n"
-      "       [--shards N] [--workers N] [--queue-cap N] [--batch-max N] "
-      "[--deadline-ms N]\n"
+      "       [--shards N] [--workers N] [--queue-cap N] [--deadline-ms N]\n"
       "       [--priority-levels N] [--tenants N] [--tenant-rate RPS] "
       "[--tenant-burst N]\n"
       "       [--retries N] [--breaker-failures N] "
@@ -142,8 +140,6 @@ Args parse(int argc, char** argv) {
       args.workers = static_cast<int>(cli.int_value(1, 256));
     } else if (flag == "--queue-cap") {
       args.queue_cap = static_cast<int>(cli.int_value(1, 1 << 20));
-    } else if (flag == "--batch-max") {
-      args.batch_max = static_cast<int>(cli.int_value(1, 64));
     } else if (flag == "--deadline-ms") {
       args.deadline_ms = cli.int_value(0, 1 << 30);
     } else if (flag == "--priority-levels") {
@@ -298,7 +294,6 @@ RunResult run_trace(const Args& args, const mocha::nn::Network& net,
   options.engine.queue_capacity = static_cast<std::size_t>(args.queue_cap);
   options.engine.default_deadline_ms =
       static_cast<std::uint64_t>(args.deadline_ms);
-  options.engine.max_batch = args.batch_max;
   options.engine.retry.max_attempts = args.retries;
   options.engine.breaker.failure_threshold = args.breaker_failures;
   options.engine.breaker.cooldown_ms =
@@ -484,7 +479,7 @@ RunResult run_trace(const Args& args, const mocha::nn::Network& net,
 std::string fleet_json(const Args& args, const RunResult& r, bool slo_ok) {
   using namespace mocha;
   std::ostringstream json;
-  json << "{\n  \"schema\": \"mocha.serve.v4\",\n"
+  json << "{\n  \"schema\": \"mocha.serve.v5\",\n"
        << "  \"network\": \"" << args.network << "\",\n"
        << "  \"shards\": " << args.shards << ",\n"
        << "  \"replicas\": " << r.replicas << ",\n"
@@ -538,8 +533,6 @@ std::string fleet_json(const Args& args, const RunResult& r, bool slo_ok) {
          << ", \"failed\": " << s.stats.failed
          << ", \"stolen_in\": " << s.stats.stolen_in
          << ", \"stolen_out\": " << s.stats.stolen_out
-         << ", \"batches\": " << s.stats.batches
-         << ", \"batch_coalesced\": " << s.stats.batch_coalesced
          << ", \"quarantines\": " << s.quarantines
          << ", \"probes_started\": " << s.probes_started
          << ", \"probes_abandoned\": " << s.probes_abandoned << "}";
@@ -578,8 +571,8 @@ void print_report(const Args& args, const RunResult& r, bool slo_ok) {
               << s.stats.submitted << ", completed " << s.stats.completed
               << ", shed " << s.stats.shed << ", failed " << s.stats.failed
               << ", stolen " << s.stats.stolen_in << "/"
-              << s.stats.stolen_out << " in/out, batches " << s.stats.batches
-              << ", quarantines " << s.quarantines << "\n";
+              << s.stats.stolen_out << " in/out, quarantines "
+              << s.quarantines << "\n";
   }
   std::cout << "  latency (completed): p50 " << r.p50 << " us, p90 "
             << r.p90 << " us, p99 " << r.p99 << " us; throughput "
