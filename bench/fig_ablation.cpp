@@ -41,10 +41,8 @@ int main() {
                        "EDP norm"});
     double base_edp = 0;
     for (const Variant& variant : variants) {
-      const core::Accelerator acc(
-          fabric::mocha_default_config(), model::default_tech(),
-          std::make_shared<core::MorphController>(model::default_tech(),
-                                                  variant.options));
+      const core::Accelerator acc(fabric::mocha_default_config(),
+                                  model::default_tech(), variant.options);
       const core::RunReport report = acc.run(net);
       const double edp = report.total_energy_pj *
                          static_cast<double>(report.total_cycles);

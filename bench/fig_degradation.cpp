@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
 
   const fabric::FabricConfig base = fabric::mocha_default_config();
   const model::TechParams tech = model::default_tech();
-  const auto planner = std::make_shared<core::MorphController>(
-      tech, core::MorphOptions{});
+  const core::MorphOptions options;
 
   std::vector<Point> points;
   bool degraded_wins = true;
@@ -77,7 +76,7 @@ int main(int argc, char** argv) {
     const auto stats = core::assumed_stats(net, nn::SparsityProfile{});
     // The plan a healthy fabric would choose — frozen, then replayed on
     // every degraded configuration below.
-    const core::Accelerator healthy(base, tech, planner);
+    const core::Accelerator healthy(base, tech, options);
     const dataflow::NetworkPlan healthy_plan = healthy.plan(net, stats);
 
     for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
@@ -92,9 +91,9 @@ int main(int argc, char** argv) {
       fault::record_metrics(base, scenario);
 
       const core::RunReport morphed =
-          core::Accelerator(degraded, tech, planner).run(net);
+          core::Accelerator(degraded, tech, options).run(net);
       const core::RunReport fixed =
-          core::Accelerator(degraded, tech, planner)
+          core::Accelerator(degraded, tech, options)
               .run_with_plan(net, healthy_plan, stats);
 
       Point p;

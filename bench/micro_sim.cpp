@@ -15,10 +15,7 @@ using namespace mocha;
 dataflow::NetworkPlan neutral_plan(const nn::Network& net) {
   dataflow::NetworkPlan plan;
   for (const nn::LayerSpec& layer : net.layers) {
-    dataflow::LayerPlan lp;
-    lp.tile = {layer.out_h(), layer.out_w(), layer.in_c,
-               layer.out_channels()};
-    plan.layers.push_back(lp);
+    plan.layers.push_back(dataflow::whole_layer_plan(layer));
   }
   return plan;
 }

@@ -2,8 +2,6 @@
 
 #include <limits>
 
-#include "core/morph.hpp"
-
 namespace mocha::baseline {
 
 const char* strategy_name(Strategy strategy) {
@@ -70,10 +68,8 @@ core::Accelerator make_baseline_accelerator(Strategy strategy,
   config.has_compression = false;
   config.codec_units = 0;
   config.has_morph_controller = false;
-  return core::Accelerator(
-      std::move(config), tech,
-      std::make_shared<core::MorphController>(
-          tech, strategy_options(strategy, objective)));
+  return core::Accelerator(std::move(config), tech,
+                           strategy_options(strategy, objective));
 }
 
 NextBest next_best(const nn::Network& net, model::TechParams tech,
@@ -84,19 +80,9 @@ NextBest next_best(const nn::Network& net, model::TechParams tech,
     const core::Accelerator acc =
         make_baseline_accelerator(strategy, tech, objective);
     core::RunReport report = acc.run(net);
-    double score = 0;
-    switch (objective) {
-      case core::Objective::Cycles:
-        score = static_cast<double>(report.total_cycles);
-        break;
-      case core::Objective::Energy:
-        score = report.total_energy_pj;
-        break;
-      case core::Objective::EnergyDelayProduct:
-        score = report.total_energy_pj *
-                static_cast<double>(report.total_cycles);
-        break;
-    }
+    const double score = core::objective_score(
+        objective, static_cast<double>(report.total_cycles),
+        report.total_energy_pj);
     if (score < best_score) {
       best_score = score;
       best.strategy = strategy;

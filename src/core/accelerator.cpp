@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/morph.hpp"
 #include "fabric/pe_array.hpp"
 #include "model/energy.hpp"
 #include "obs/critpath.hpp"
@@ -22,17 +21,17 @@ const GroupReport* RunReport::group_for_layer(std::size_t layer_index) const {
 }
 
 Accelerator::Accelerator(fabric::FabricConfig config, model::TechParams tech,
-                         std::shared_ptr<const Planner> planner)
-    : config_(std::move(config)), tech_(tech), planner_(std::move(planner)) {
+                         MorphOptions options)
+    : config_(std::move(config)), tech_(tech),
+      planner_(tech, std::move(options)) {
   config_.validate();
-  MOCHA_CHECK(planner_ != nullptr, "accelerator needs a planner");
 }
 
 dataflow::NetworkPlan Accelerator::plan(
     const nn::Network& net,
     const std::vector<dataflow::LayerStreamStats>& stats,
     nn::Index batch) const {
-  return planner_->plan(net, config_, stats, batch);
+  return planner_.plan(net, config_, stats, batch);
 }
 
 RunReport Accelerator::run(const nn::Network& net,
@@ -167,8 +166,7 @@ Accelerator make_mocha_accelerator(fabric::FabricConfig config,
                                    Objective objective) {
   MorphOptions options;
   options.objective = objective;
-  return Accelerator(std::move(config), tech,
-                     std::make_shared<MorphController>(tech, options));
+  return Accelerator(std::move(config), tech, std::move(options));
 }
 
 }  // namespace mocha::core

@@ -5,14 +5,14 @@
 //   auto acc = mocha::core::make_mocha_accelerator();
 //   mocha::core::RunReport report = acc.run(mocha::nn::make_alexnet());
 //
-// The same runner drives the baselines — only the Planner differs — so
-// every comparison in the experiment harness is apples-to-apples.
+// The same runner and the same morph controller drive the baselines — only
+// the MorphOptions differ — so every comparison in the experiment harness
+// is apples-to-apples.
 #pragma once
 
 #include <functional>
-#include <memory>
 
-#include "core/planner.hpp"
+#include "core/morph.hpp"
 #include "core/report.hpp"
 #include "dataflow/schedule.hpp"
 #include "fabric/config.hpp"
@@ -23,8 +23,10 @@ namespace mocha::core {
 
 class Accelerator {
  public:
+  /// An accelerator on `config` whose morph controller searches under
+  /// `options`.
   Accelerator(fabric::FabricConfig config, model::TechParams tech,
-              std::shared_ptr<const Planner> planner);
+              MorphOptions options);
 
   /// Plans and simulates `net` with sparsity statistics from `profile`.
   /// `batch` inputs are processed together (weights amortize across them).
@@ -32,8 +34,8 @@ class Accelerator {
                 const nn::SparsityProfile& profile = {},
                 nn::Index batch = 1) const;
 
-  /// Plans with the accelerator's planner; exposed so experiments can
-  /// inspect or reuse decisions.
+  /// Plans with the accelerator's morph controller; exposed so experiments
+  /// can inspect or reuse decisions.
   dataflow::NetworkPlan plan(
       const nn::Network& net,
       const std::vector<dataflow::LayerStreamStats>& stats,
@@ -57,12 +59,11 @@ class Accelerator {
 
   const fabric::FabricConfig& config() const { return config_; }
   const model::TechParams& tech() const { return tech_; }
-  const Planner& planner() const { return *planner_; }
 
  private:
   fabric::FabricConfig config_;
   model::TechParams tech_;
-  std::shared_ptr<const Planner> planner_;
+  MorphController planner_;
 };
 
 /// MOCHA with all three differentiators enabled.

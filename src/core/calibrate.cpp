@@ -9,14 +9,11 @@ CalibrationResult calibrate(const nn::Network& net,
                             const nn::Quant& quant) {
   net.validate();
 
-  // Neutral full-tile plan: one group per layer, no codecs — the pass only
+  // Whole-layer plans: one group per layer, no codecs — the pass only
   // measures data statistics.
   dataflow::NetworkPlan plan;
   for (const nn::LayerSpec& layer : net.layers) {
-    dataflow::LayerPlan lp;
-    lp.tile = {layer.out_h(), layer.out_w(), layer.in_c,
-               layer.out_channels()};
-    plan.layers.push_back(lp);
+    plan.layers.push_back(dataflow::whole_layer_plan(layer));
   }
 
   CalibrationResult result;

@@ -8,7 +8,7 @@
 // its codec engines' statistics counters.
 #pragma once
 
-#include "core/planner.hpp"
+#include "core/morph.hpp"
 #include "dataflow/executor.hpp"
 
 namespace mocha::core {

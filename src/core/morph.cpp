@@ -39,16 +39,6 @@ std::vector<dataflow::LayerStreamStats> assumed_stats(
   return stats;
 }
 
-namespace {
-
-using dataflow::CostEstimate;
-using dataflow::LayerPlan;
-using dataflow::LayerStreamStats;
-using dataflow::LoopOrder;
-using dataflow::NetworkPlan;
-using nn::Index;
-using compress::CodecKind;
-
 double objective_score(Objective objective, double cycles, double energy_pj) {
   switch (objective) {
     case Objective::Cycles:
@@ -59,6 +49,26 @@ double objective_score(Objective objective, double cycles, double energy_pj) {
       return cycles * energy_pj;
   }
   MOCHA_UNREACHABLE("bad Objective");
+}
+
+namespace {
+
+using dataflow::CostEstimate;
+using dataflow::LayerPlan;
+using dataflow::LayerStreamStats;
+using dataflow::LoopOrder;
+using dataflow::NetworkPlan;
+using nn::Index;
+using compress::CodecKind;
+
+/// Compactness tiebreak: among near-equal plans prefer the smaller working
+/// set — compressed residency then directly lowers the storage
+/// requirement, and a small footprint leaves headroom for cascading. Both
+/// the analytical ranking and exact refinement scale scores by it.
+double compactness(std::int64_t footprint_bytes,
+                   const fabric::FabricConfig& config) {
+  return 1.0 + 0.40 * static_cast<double>(footprint_bytes) /
+                   static_cast<double>(config.sram_bytes);
 }
 
 /// Halving ladder: {total, ceil(total/2), ceil(total/4), ...}, deduped.
@@ -74,22 +84,15 @@ std::vector<Index> halving_options(Index total, Index floor_value,
   return options;
 }
 
-/// A plan that is valid for any layer (used to pad scratch NetworkPlans so
-/// whole-plan validation passes while only one group is under study).
-LayerPlan neutral_plan(const nn::LayerSpec& layer) {
-  LayerPlan plan;
-  plan.tile = {layer.out_h(), layer.out_w(), layer.in_c,
-               layer.out_channels()};
-  return plan;
-}
-
+/// The group's plans inside a network plan padded with whole-layer plans,
+/// so whole-plan validation passes while only one group is under study.
 NetworkPlan scratch_plan(const nn::Network& net,
                          const NetworkPlan::Group& group,
                          const std::vector<LayerPlan>& group_plans) {
   NetworkPlan plan;
   plan.layers.reserve(net.layers.size());
   for (const nn::LayerSpec& layer : net.layers) {
-    plan.layers.push_back(neutral_plan(layer));
+    plan.layers.push_back(dataflow::whole_layer_plan(layer));
   }
   MOCHA_CHECK(group_plans.size() == group.size(), "group plan size mismatch");
   for (std::size_t k = 0; k < group_plans.size(); ++k) {
@@ -145,13 +148,7 @@ struct SearchContext {
     candidate.est = est;
     candidate.score = objective_score(options.objective, est.cycles,
                                       est.energy_pj);
-    // Compactness tiebreak: among near-equal plans prefer the smaller
-    // working set — compressed residency then directly lowers the storage
-    // requirement, and a small footprint leaves headroom for cascading.
-    const double tiebreak =
-        1.0 + 0.40 * static_cast<double>(est.footprint_bytes) /
-                  static_cast<double>(config.sram_bytes);
-    candidate.score *= tiebreak;
+    candidate.score *= compactness(est.footprint_bytes, config);
     // A non-fitting plan is only kept as a last resort; the penalty grows
     // with the overflow so the least-overflowing candidate wins when
     // literally nothing fits.
@@ -358,7 +355,7 @@ std::vector<GroupCandidate> enumerate_fused(const SearchContext& ctx,
     std::vector<LayerPlan> plans;
     for (std::size_t l = first; l <= last; ++l) {
       const nn::LayerSpec& layer = ctx.net.layers[l];
-      LayerPlan plan = neutral_plan(layer);
+      LayerPlan plan = dataflow::whole_layer_plan(layer);
       plan.inter_groups = inter;
       plan.intra_groups = intra;
       plan.kernel_codec =
@@ -436,8 +433,7 @@ GroupCandidate refine_exact(const SearchContext& ctx,
           double score = objective_score(ctx.options.objective,
                                          static_cast<double>(run.makespan),
                                          energy_pj);
-          score *= 1.0 + 0.40 * static_cast<double>(run.peak_sram_bytes) /
-                             static_cast<double>(ctx.config.sram_bytes);
+          score *= compactness(run.peak_sram_bytes, ctx.config);
           if (run.peak_sram_bytes > ctx.config.sram_bytes) score *= 1e6;
           // Record the measured quantities so downstream consumers see
           // reality.

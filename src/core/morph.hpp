@@ -20,11 +20,31 @@
 #pragma once
 
 #include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
-#include "core/planner.hpp"
+#include "dataflow/plan.hpp"
+#include "dataflow/streams.hpp"
+#include "fabric/config.hpp"
+#include "model/tech.hpp"
+#include "nn/generate.hpp"
 
 namespace mocha::core {
+
+/// Optimization objective for plan selection.
+enum class Objective { Cycles, Energy, EnergyDelayProduct };
+
+const char* objective_name(Objective objective);
+
+/// The quantity `objective` minimizes for a run of `cycles` cycles that
+/// spends `energy_pj` picojoules.
+double objective_score(Objective objective, double cycles, double energy_pj);
+
+/// Builds the per-layer stream statistics a planner/simulation needs from
+/// the assumed sparsity profile.
+std::vector<dataflow::LayerStreamStats> assumed_stats(
+    const nn::Network& net, const nn::SparsityProfile& profile);
 
 /// What the search may use. Every search also tries both loop orders (weight-
 /// and input-stationary) and holds analytical footprints to the whole
@@ -108,17 +128,19 @@ struct GroupTrace {
 };
 using PlanTrace = std::vector<GroupTrace>;
 
-class MorphController final : public Planner {
+class MorphController {
  public:
   MorphController(model::TechParams tech, MorphOptions options)
       : tech_(tech), options_(std::move(options)) {}
 
-  std::string name() const override { return "morph"; }
-
+  /// Produces a plan for every layer. `stats` is index-aligned with
+  /// net.layers (assumed or measured sparsities). `batch` is the number of
+  /// inputs processed together (weight reuse across the batch changes which
+  /// plans win, so the planner must know it).
   dataflow::NetworkPlan plan(
       const nn::Network& net, const fabric::FabricConfig& config,
       const std::vector<dataflow::LayerStreamStats>& stats,
-      nn::Index batch = 1) const override;
+      nn::Index batch = 1) const;
 
   /// Like plan(), additionally reporting the decision trace.
   dataflow::NetworkPlan plan_traced(

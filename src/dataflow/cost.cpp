@@ -12,9 +12,6 @@ namespace mocha::dataflow {
 
 namespace {
 
-constexpr std::int64_t kValueBytes = static_cast<std::int64_t>(sizeof(nn::Value));
-constexpr std::int64_t kPartialBytes = 4;
-
 double sc_pool(const nn::LayerSpec& layer, const LayerPlan& lp);
 
 struct Accumulator {

@@ -1,6 +1,9 @@
 #include "dataflow/executor.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <iterator>
 #include <optional>
 
 #include "dataflow/tiling.hpp"
@@ -19,33 +22,6 @@ using nn::LayerSpec;
 using nn::Value;
 using nn::ValueTensor;
 
-/// Measures one coded stream: encodes through the codec and returns the
-/// coded byte count. With options.verify_codecs the stream is also checked
-/// to decode element-exact (the executor's codec verification, through
-/// Codec::first_mismatch); serving disables that to measure coded bytes at
-/// encode-only cost — the byte counts, and therefore the bench checksums,
-/// are identical either way.
-std::int64_t measure_coded_bytes(const compress::Codec& codec,
-                                 std::span<const Value> values, bool verify) {
-  MOCHA_TRACE_SCOPE("codec.roundtrip", "codec");
-  const std::vector<std::uint8_t> coded = codec.encode(values);
-  if (verify) {
-    const std::optional<std::size_t> diff = codec.first_mismatch(coded, values);
-    MOCHA_CHECK(!diff.has_value(),
-                codec.name() << " round trip mismatch at " << *diff);
-  }
-  MOCHA_METRIC_ADD("executor.codec_bytes_in",
-                   static_cast<std::int64_t>(values.size() * sizeof(Value)));
-  MOCHA_METRIC_ADD("executor.codec_bytes_out",
-                   static_cast<std::int64_t>(coded.size()));
-  return static_cast<std::int64_t>(coded.size());
-}
-
-std::int64_t measure_coded_bytes(compress::CodecKind kind,
-                                 std::span<const Value> values, bool verify) {
-  return measure_coded_bytes(*compress::make_codec(kind), values, verify);
-}
-
 /// Stream identity -> Rng seed. Each (stream tag, layer/group, tile) gets
 /// its own generator so the injected flips are deterministic and
 /// independent of how tiles land on threads; the Rng constructor's
@@ -58,77 +34,125 @@ std::uint64_t stream_seed(std::uint64_t base, StreamTag tag, std::uint64_t a,
          0xbf58476d1ce4e5b9ull * (a + 1) + 0x94d049bb133111ebull * (b + 1);
 }
 
-/// Shared re-fetch budget for one run_functional call. The counter is
-/// atomic because ifmap tiles retry from pool threads; whether the budget
-/// trips is deterministic (the injected flips are stream-seeded), only
-/// which tile observes the exhaustion first varies with scheduling.
-struct RetryBudget {
-  std::atomic<std::int64_t> used{0};
-  std::int64_t budget = -1;  // < 0 = unlimited
+/// Prices one run_functional call's coded streams — kernel, ifmap tile and
+/// ofmap alike — and owns the run's corrupted-stream re-fetch budget.
+/// Thread-safe: ifmap tiles are measured from pool threads.
+class StreamMeter {
+ public:
+  explicit StreamMeter(const FunctionalOptions& options) : options_(options) {
+    for (const compress::CodecKind kind : compress::kAllCodecKinds) {
+      codecs_[static_cast<std::size_t>(kind)] = compress::make_codec(kind);
+    }
+  }
 
-  /// Counts one corrupted-stream re-fetch; throws DecodeError when the
-  /// run's budget is exhausted (persistent damage escalates to the caller).
-  void spend() {
-    const std::int64_t n = used.fetch_add(1, std::memory_order_relaxed) + 1;
+  /// Coded bytes of stream (tag, a, b), which carries `values` through
+  /// codec `kind`. Flips only strike data moving through a codec engine,
+  /// so uncoded streams and fault-free runs take the exact measurement
+  /// path; the others take the fault-injection path.
+  std::int64_t measure(compress::CodecKind kind, std::span<const Value> values,
+                       StreamTag tag, std::uint64_t a, std::uint64_t b = 0) {
+    const compress::Codec& codec = *codecs_[static_cast<std::size_t>(kind)];
+    if (options_.codec_flip_rate > 0.0 && kind != compress::CodecKind::None) {
+      return measure_with_faults(
+          codec, values, stream_seed(options_.codec_fault_seed, tag, a, b));
+    }
+    return measure_coded_bytes(codec, values);
+  }
+
+  /// Streams re-fetched uncompressed so far.
+  std::int64_t retries() const {
+    return retries_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  /// Encodes through the codec and returns the coded byte count. With
+  /// options.verify_codecs the stream is also checked to decode
+  /// element-exact (Codec::first_mismatch); serving disables that to
+  /// measure coded bytes at encode-only cost — the byte counts, and
+  /// therefore the bench checksums, are identical either way.
+  std::int64_t measure_coded_bytes(const compress::Codec& codec,
+                                   std::span<const Value> values) const {
+    MOCHA_TRACE_SCOPE("codec.roundtrip", "codec");
+    const std::vector<std::uint8_t> coded = codec.encode(values);
+    if (options_.verify_codecs) {
+      const std::optional<std::size_t> diff =
+          codec.first_mismatch(coded, values);
+      MOCHA_CHECK(!diff.has_value(),
+                  codec.name() << " round trip mismatch at " << *diff);
+    }
+    MOCHA_METRIC_ADD("executor.codec_bytes_in",
+                     static_cast<std::int64_t>(values.size() * sizeof(Value)));
+    MOCHA_METRIC_ADD("executor.codec_bytes_out",
+                     static_cast<std::int64_t>(coded.size()));
+    return static_cast<std::int64_t>(coded.size());
+  }
+
+  /// Deployment-path measurement under transient faults: frame the coded
+  /// stream (compress/codec.hpp), flip a random bit in each byte with
+  /// probability codec_flip_rate, and let decode_framed's integrity check
+  /// decide. A rejected frame means the tile is re-fetched uncompressed —
+  /// the stream is priced at raw bytes and the retry counted (retries() and
+  /// the fault.codec_retries metric) against the run's budget. The caller
+  /// always computes from the original tensors, so corruption costs
+  /// bandwidth, never correctness — until the budget trips and the run
+  /// fails typed.
+  std::int64_t measure_with_faults(const compress::Codec& codec,
+                                   std::span<const Value> values,
+                                   std::uint64_t seed) {
+    MOCHA_TRACE_SCOPE("codec.faulty_roundtrip", "codec");
+    std::vector<std::uint8_t> framed = compress::encode_framed(codec, values);
+    const auto framed_bytes = static_cast<std::int64_t>(framed.size());
+    util::Rng rng(seed);
+    for (std::uint8_t& b : framed) {
+      if (rng.bernoulli(options_.codec_flip_rate)) {
+        b ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+      }
+    }
+    bool intact = false;
+    try {
+      const std::vector<Value> back =
+          compress::decode_framed(codec, framed, values.size());
+      // The checksum catches every single-byte change; multi-byte
+      // collisions are theoretically possible, so verify against the
+      // original (which the hardware's retry logic approximates with
+      // stronger end-to-end checks).
+      intact = std::equal(back.begin(), back.end(), values.begin());
+    } catch (const compress::DecodeError&) {
+      intact = false;
+    }
+    if (intact) {
+      MOCHA_METRIC_ADD("executor.codec_bytes_out", framed_bytes);
+      return framed_bytes;
+    }
+    spend_retry();
+    MOCHA_METRIC_ADD("fault.codec_retries", 1);
+    const auto raw_bytes =
+        static_cast<std::int64_t>(values.size() * sizeof(Value));
+    MOCHA_METRIC_ADD("executor.codec_bytes_out", raw_bytes);
+    return raw_bytes;
+  }
+
+  /// Counts one corrupted-stream re-fetch; throws DecodeError once the
+  /// run's codec_retry_budget (< 0: unlimited) is exhausted, so persistent
+  /// damage escalates to the caller. Whether the budget trips is
+  /// deterministic (the injected flips are stream-seeded); only which tile
+  /// observes the exhaustion first varies with scheduling.
+  void spend_retry() {
+    const std::int64_t n =
+        retries_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const std::int64_t budget = options_.codec_retry_budget;
     if (budget >= 0 && n > budget) {
       throw compress::DecodeError(
           "codec retry budget exhausted: " + std::to_string(n) +
           " corrupted streams > budget " + std::to_string(budget));
     }
   }
+
+  const FunctionalOptions& options_;
+  std::array<std::unique_ptr<compress::Codec>, std::size(compress::kAllCodecKinds)>
+      codecs_;
+  std::atomic<std::int64_t> retries_{0};
 };
-
-/// Deployment-path stream measurement under transient faults: frame the
-/// coded stream (compress/codec.hpp), flip a random bit in each byte with
-/// probability `flip_rate`, and let decode_framed's integrity check decide.
-/// A rejected frame means the tile is re-fetched uncompressed — the stream
-/// is priced at raw bytes and the retry counted (out param + fault.codec_
-/// retries metric) against the run's budget. The caller always computes
-/// from the original tensors, so corruption costs bandwidth, never
-/// correctness — until the budget trips and the run fails typed.
-std::int64_t measure_with_faults(const compress::Codec& codec,
-                                 std::span<const Value> values,
-                                 double flip_rate, std::uint64_t seed,
-                                 std::int64_t* retries, RetryBudget* budget) {
-  MOCHA_TRACE_SCOPE("codec.faulty_roundtrip", "codec");
-  std::vector<std::uint8_t> framed = compress::encode_framed(codec, values);
-  const auto framed_bytes = static_cast<std::int64_t>(framed.size());
-  util::Rng rng(seed);
-  for (std::uint8_t& b : framed) {
-    if (rng.bernoulli(flip_rate)) {
-      b ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
-    }
-  }
-  bool intact = false;
-  try {
-    const std::vector<Value> back =
-        compress::decode_framed(codec, framed, values.size());
-    // The checksum catches every single-byte change; multi-byte collisions
-    // are theoretically possible, so verify against the original (which the
-    // hardware's retry logic approximates with stronger end-to-end checks).
-    intact = std::equal(back.begin(), back.end(), values.begin());
-  } catch (const compress::DecodeError&) {
-    intact = false;
-  }
-  if (intact) {
-    MOCHA_METRIC_ADD("executor.codec_bytes_out", framed_bytes);
-    return framed_bytes;
-  }
-  budget->spend();
-  ++*retries;
-  MOCHA_METRIC_ADD("fault.codec_retries", 1);
-  const auto raw_bytes =
-      static_cast<std::int64_t>(values.size() * sizeof(Value));
-  MOCHA_METRIC_ADD("executor.codec_bytes_out", raw_bytes);
-  return raw_bytes;
-}
-
-/// True when this stream takes the fault-injection path: flips only strike
-/// data moving through a codec engine, so uncoded streams (and fault-free
-/// runs) stay on the exact measurement path above.
-bool inject_faults(const FunctionalOptions& options, compress::CodecKind kind) {
-  return options.codec_flip_rate > 0.0 && kind != compress::CodecKind::None;
-}
 
 /// Extracts the (clamped) input region of `tensor` as a flat stream, the
 /// exact elements a tile load would transfer. Fills the caller's scratch
@@ -158,7 +182,7 @@ void extract_region(const ValueTensor& tensor, Index c_begin, Index c_end,
 void measure_kernel_streams(const nn::Network& net, const NetworkPlan& plan,
                             const std::vector<ValueTensor>& weights,
                             const FunctionalOptions& options,
-                            FunctionalResult* result, RetryBudget* budget) {
+                            FunctionalResult* result, StreamMeter* meter) {
   for (std::size_t i = 0; i < net.layers.size(); ++i) {
     if (!net.layers[i].has_weights()) continue;
     MOCHA_CHECK(weights[i].shape() == net.layers[i].weight_shape(),
@@ -167,19 +191,10 @@ void measure_kernel_streams(const nn::Network& net, const NetworkPlan& plan,
     result->streams[i].kernel_raw =
         weights[i].size() * static_cast<Index>(sizeof(Value));
     if (options.exercise_codecs) {
-      const std::span<const Value> kernel_stream(
-          weights[i].data(), static_cast<std::size_t>(weights[i].size()));
-      const compress::CodecKind kind = plan.layers[i].kernel_codec;
-      if (inject_faults(options, kind)) {
-        result->streams[i].kernel_coded = measure_with_faults(
-            *compress::make_codec(kind), kernel_stream,
-            options.codec_flip_rate,
-            stream_seed(options.codec_fault_seed, StreamTag::Kernel, i, 0),
-            &result->codec_retries, budget);
-      } else {
-        result->streams[i].kernel_coded =
-            measure_coded_bytes(kind, kernel_stream, options.verify_codecs);
-      }
+      result->streams[i].kernel_coded = meter->measure(
+          plan.layers[i].kernel_codec,
+          {weights[i].data(), static_cast<std::size_t>(weights[i].size())},
+          StreamTag::Kernel, i);
     }
   }
 }
@@ -233,7 +248,7 @@ void run_groups(const nn::Network& net, const NetworkPlan& plan,
                 const ValueTensor& input,
                 const std::vector<nn::kernels::PackedWeights>& weights,
                 const FunctionalOptions& options, FunctionalResult* result,
-                RetryBudget* budget) {
+                StreamMeter* meter) {
   ValueTensor flattened;  // staging for spatial->FC transitions
   const ValueTensor* current = &input;
   const int lanes = util::ThreadPool::global_threads();
@@ -275,28 +290,15 @@ void run_groups(const nn::Network& net, const NetworkPlan& plan,
                                        tail_geo.out_y, tail_geo.out_x));
     }
 
-    const std::unique_ptr<compress::Codec> ifmap_codec =
-        options.exercise_codecs
-            ? compress::make_codec(plan.layers[group.first].ifmap_codec)
-            : nullptr;
     std::vector<std::int64_t> tile_coded(grid.size(), 0);
-    std::vector<std::int64_t> tile_retries(grid.size(), 0);
     // Head input region of tile ti: measure the coded transfer.
     const auto measure_ifmap = [&](Index ti, std::vector<Value>* scratch) {
       const auto t = static_cast<std::size_t>(ti);
       extract_region(*current, 0, head.in_c, pyramids[t].front().in_y,
                      pyramids[t].front().in_x, scratch);
-      const std::span<const Value> stream(scratch->data(), scratch->size());
-      if (inject_faults(options, ifmap_codec->kind())) {
-        tile_coded[t] = measure_with_faults(
-            *ifmap_codec, stream, options.codec_flip_rate,
-            stream_seed(options.codec_fault_seed, StreamTag::Ifmap,
-                        group.first, static_cast<std::uint64_t>(ti)),
-            &tile_retries[t], budget);
-      } else {
-        tile_coded[t] =
-            measure_coded_bytes(*ifmap_codec, stream, options.verify_codecs);
-      }
+      tile_coded[t] = meter->measure(plan.layers[group.first].ifmap_codec,
+                                     *scratch, StreamTag::Ifmap, group.first,
+                                     static_cast<std::uint64_t>(ti));
     };
 
     std::vector<ValueTensor> stage_tiles;  // the previous stage's tiles
@@ -329,7 +331,7 @@ void run_groups(const nn::Network& net, const NetworkPlan& plan,
           const auto t = static_cast<std::size_t>(ti);
           if (stage == 0 && si == 0) {
             MOCHA_METRIC_ADD("executor.tiles_computed", 1);
-            if (ifmap_codec != nullptr) measure_ifmap(ti, &scratch);
+            if (options.exercise_codecs) measure_ifmap(ti, &scratch);
           }
           const TileGeometry& geo = pyramids[t][stage];
           nn::kernels::PaddedInput in;
@@ -379,7 +381,6 @@ void run_groups(const nn::Network& net, const NetworkPlan& plan,
     std::int64_t ifmap_coded_total = 0;
     for (std::int64_t coded : tile_coded) ifmap_coded_total += coded;
     result->streams[group.first].ifmap_coded = ifmap_coded_total;
-    for (std::int64_t retried : tile_retries) result->codec_retries += retried;
 
     // Tail output stream measurement.
     const ValueTensor& tail_out = result->outputs[group.last];
@@ -387,19 +388,10 @@ void run_groups(const nn::Network& net, const NetworkPlan& plan,
     result->streams[group.last].ofmap_raw =
         tail_out.size() * static_cast<Index>(sizeof(Value));
     if (options.exercise_codecs) {
-      const std::span<const Value> ofmap_stream(
-          tail_out.data(), static_cast<std::size_t>(tail_out.size()));
-      if (inject_faults(options, tail_plan.ofmap_codec)) {
-        result->streams[group.last].ofmap_coded = measure_with_faults(
-            *compress::make_codec(tail_plan.ofmap_codec), ofmap_stream,
-            options.codec_flip_rate,
-            stream_seed(options.codec_fault_seed, StreamTag::Ofmap,
-                        group.last, 0),
-            &result->codec_retries, budget);
-      } else {
-        result->streams[group.last].ofmap_coded = measure_coded_bytes(
-            tail_plan.ofmap_codec, ofmap_stream, options.verify_codecs);
-      }
+      result->streams[group.last].ofmap_coded = meter->measure(
+          tail_plan.ofmap_codec,
+          {tail_out.data(), static_cast<std::size_t>(tail_out.size())},
+          StreamTag::Ofmap, group.last);
     }
 
     current = &result->outputs[group.last];
@@ -422,12 +414,11 @@ FunctionalResult run_functional(const nn::Network& net,
   result.measured_stats.resize(net.layers.size());
   result.streams.resize(net.layers.size());
 
-  RetryBudget retry_budget;
-  retry_budget.budget = options.codec_retry_budget;
-
-  measure_kernel_streams(net, plan, weights, options, &result, &retry_budget);
+  StreamMeter meter(options);
+  measure_kernel_streams(net, plan, weights, options, &result, &meter);
   run_groups(net, plan, input, pack_weights(net, weights), options, &result,
-             &retry_budget);
+             &meter);
+  result.codec_retries = meter.retries();
   return result;
 }
 

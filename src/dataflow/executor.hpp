@@ -49,9 +49,10 @@ struct FunctionalResult {
 
 struct FunctionalOptions {
   nn::Quant quant;
-  /// Round-trip every coded stream through the real codec (and assert the
-  /// decode matches). Disable only for large sweeps where the coded sizes
-  /// are not needed.
+  /// Encode every stream through its real codec and record the coded
+  /// sizes (MeasuredStreams). Serving without codec faults and
+  /// core::calibrate turn it off: they need the outputs and the measured
+  /// sparsities, not the coded sizes.
   bool exercise_codecs = true;
   /// With exercise_codecs, also check that every coded stream decodes to
   /// the input element-exact (Codec::first_mismatch). The measured coded

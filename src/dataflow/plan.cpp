@@ -25,6 +25,13 @@ std::string LayerPlan::summary() const {
   return os.str();
 }
 
+LayerPlan whole_layer_plan(const nn::LayerSpec& layer) {
+  LayerPlan plan;
+  plan.tile = {layer.out_h(), layer.out_w(), layer.in_c,
+               layer.out_channels()};
+  return plan;
+}
+
 std::vector<NetworkPlan::Group> NetworkPlan::fusion_groups() const {
   std::vector<Group> groups;
   std::size_t first = 0;

@@ -78,6 +78,11 @@ struct LayerPlan {
   std::string summary() const;
 };
 
+/// The plan that takes `layer` whole: one tile over the full output map and
+/// every channel, weight-stationary, one PE group, no codecs. Valid for any
+/// layer.
+LayerPlan whole_layer_plan(const nn::LayerSpec& layer);
+
 /// One plan per layer, index-aligned with Network::layers.
 struct NetworkPlan {
   std::vector<LayerPlan> layers;

@@ -55,9 +55,6 @@ std::vector<std::int64_t> distribute(std::int64_t total,
   return shares;
 }
 
-constexpr std::int64_t kValueBytes = static_cast<std::int64_t>(sizeof(nn::Value));
-constexpr std::int64_t kPartialBytes = 4;  // 32-bit accumulators in SRAM
-
 /// Builds the task graph for one fusion group. One instance per call.
 class GroupBuilder {
  public:
@@ -328,9 +325,10 @@ class GroupBuilder {
             add_load(layer_tag("if_load", idx, {mi, ti}), if_coded,
                      std::move(load_deps), if_coded + partial);
 
-        const auto chunk_ids = emit_tile_computes(
-            idx, geo, tm_eff, mpp, if_coded, w_coded, w_raw, if_elems,
-            {if_load}, layer_tag("comp", idx, {mi, ti}));
+        const auto chunk_ids = emit_computes(
+            idx, tm_eff, geo.out_positions(), mpp, eff_ifmap_codec(idx),
+            layer_stats(idx).ifmap_sparsity, if_coded, if_elems, w_coded,
+            w_raw, {if_load}, layer_tag("comp", idx, {mi, ti}));
 
         const TaskId tile_bar = add_barrier(
             layer_tag("tile_bar", idx, {mi, ti}), chunk_ids, if_coded);
@@ -431,12 +429,12 @@ class GroupBuilder {
                         : 0;
             std::vector<TaskId> deps = {if_load, w_load};
             deps.insert(deps.end(), prev_chunks.begin(), prev_chunks.end());
-            const auto chunks = emit_tile_computes(
-                idx, geo, tm_eff, tc_eff * kk,
-                if_coded / static_cast<Index>(c_passes.size()), w_coded,
-                w_raw, if_elems / static_cast<Index>(c_passes.size()), deps,
-                layer_tag("comp", idx, {tile_seq, mi, ci}),
-                acc_rw, /*pos_scale=*/bb);
+            const auto chunks = emit_computes(
+                idx, tm_eff, bb * geo.out_positions(), tc_eff * kk,
+                eff_ifmap_codec(idx), layer_stats(idx).ifmap_sparsity,
+                if_coded / static_cast<Index>(c_passes.size()),
+                if_elems / static_cast<Index>(c_passes.size()), w_coded, w_raw,
+                deps, layer_tag("comp", idx, {tile_seq, mi, ci}), acc_rw);
             const TaskId w_bar = add_barrier(
                 layer_tag("w_bar", idx, {tile_seq, mi, ci}), chunks, w_coded);
             prev_prev_w_bar = prev_w_bar;
@@ -518,9 +516,10 @@ class GroupBuilder {
                                         if_coded, std::move(load_deps),
                                         if_coded + out_bytes);
 
-        const auto chunks = emit_tile_computes(
-            idx, geo, tm_eff, kk, if_coded, w_coded, w_raw,
-            if_elems, {if_load}, layer_tag("comp", idx, {ci, ti}));
+        const auto chunks = emit_computes(
+            idx, tm_eff, geo.out_positions(), kk, eff_ifmap_codec(idx),
+            layer_stats(idx).ifmap_sparsity, if_coded, if_elems, w_coded,
+            w_raw, {if_load}, layer_tag("comp", idx, {ci, ti}));
 
         std::vector<TaskId> bar_deps = chunks;
         emit_store_path(idx, tm_eff * geo.out_positions(), chunks, out_bytes,
@@ -617,15 +616,17 @@ class GroupBuilder {
                     layer.kind == nn::LayerKind::DepthwiseConv
                 ? kk
                 : layer.in_c * kk;
-        const std::int64_t in_raw =
-            layer.in_c * geo.in_positions() * kValueBytes;
-        const std::int64_t in_stream_bytes = is_head ? head_if_coded : in_raw;
         const Index in_elems = layer.in_c * geo.in_positions();
-
-        const auto chunks = emit_fused_stage_computes(
-            l, geo, mpp, is_head, in_stream_bytes, in_elems,
-            w_coded_per_layer[l], prev_stage, layer_tag("comp", l, {ti}));
-        prev_stage = chunks;
+        // Stages past the head read raw intermediates: no decode, no
+        // zero-skip (skip hardware sits on the scratchpad read path of
+        // coded streams only).
+        prev_stage = emit_computes(
+            l, layer.out_channels(), geo.out_positions(), mpp,
+            is_head ? eff_ifmap_codec(l) : compress::CodecKind::None,
+            is_head ? layer_stats(l).ifmap_sparsity : 0.0,
+            is_head ? head_if_coded : in_elems * kValueBytes, in_elems,
+            w_coded_per_layer[l], layer.weight_bytes(), prev_stage,
+            layer_tag("comp", l, {ti}));
       }
 
       std::vector<TaskId> bar_deps = prev_stage;
@@ -653,29 +654,32 @@ class GroupBuilder {
 
   // ---- shared emission helpers -------------------------------------------
 
-  /// Emits the per-group compute chunks of one tile pass. Splits tm_eff maps
-  /// across inter groups and the spatial positions across intra groups.
-  std::vector<TaskId> emit_tile_computes(
-      std::size_t idx, const TileGeometry& geo, Index tm_eff, Index mpp,
-      std::int64_t if_stream_bytes, std::int64_t w_coded, std::int64_t w_raw,
-      Index if_raw_elems, const std::vector<TaskId>& deps,
-      const TaskTag& pass_tag, std::int64_t extra_sram_rw = 0,
-      Index pos_scale = 1) {
+  /// Emits the per-group compute chunks of one pass: tm_eff maps split
+  /// across inter groups, `positions` output positions across intra groups,
+  /// the pass's streams shared out in proportion. The pass reads
+  /// `if_stream_bytes` of ifmap (`if_raw_elems` values under `ifmap_codec`
+  /// at `ifmap_sparsity`) and `w_coded` bytes of weights (`w_raw` decoded).
+  /// `extra_sram_rw` is cross-pass accumulation traffic.
+  std::vector<TaskId> emit_computes(
+      std::size_t idx, Index tm_eff, Index positions, Index mpp,
+      compress::CodecKind ifmap_codec, double ifmap_sparsity,
+      std::int64_t if_stream_bytes, Index if_raw_elems, std::int64_t w_coded,
+      std::int64_t w_raw, const std::vector<TaskId>& deps,
+      const TaskTag& pass_tag, std::int64_t extra_sram_rw = 0) {
     const LayerPlan& plan = plan_.layers[idx];
     const auto map_parts = partition(tm_eff, plan.inter_groups);
-    const auto pos_parts =
-        partition(geo.out_positions() * pos_scale, plan.intra_groups);
+    const auto pos_parts = partition(positions, plan.intra_groups);
 
     // Chunk weights for proportional accounting of shared streams.
     std::vector<Index> weights;
     for (Index mp : map_parts) {
       for (Index pp : pos_parts) weights.push_back(mp * pp);
     }
-    const std::int64_t if_raw_bytes = if_raw_elems * kValueBytes;
     const auto if_shares = distribute(if_stream_bytes, weights);
     const auto w_shares = distribute(w_coded, weights);
     const auto if_decode_shares = distribute(
-        eff_ifmap_codec(idx) != compress::CodecKind::None ? if_raw_bytes : 0,
+        ifmap_codec != compress::CodecKind::None ? if_raw_elems * kValueBytes
+                                                 : 0,
         weights);
     const auto w_decode_shares = distribute(
         eff_kernel_codec(idx) != compress::CodecKind::None ? w_raw : 0,
@@ -689,8 +693,8 @@ class GroupBuilder {
         ComputeChunkSpec spec;
         spec.positions = map_parts[g] * pos_parts[s];
         spec.macs_per_position = mpp;
-        spec.ifmap_sparsity = layer_stats(idx).ifmap_sparsity;
-        spec.ifmap_codec = eff_ifmap_codec(idx);
+        spec.ifmap_sparsity = ifmap_sparsity;
+        spec.ifmap_codec = ifmap_codec;
         spec.kernel_codec = eff_kernel_codec(idx);
         spec.ifmap_decode_raw = if_decode_shares[chunk];
         spec.kernel_decode_raw = w_decode_shares[chunk];
@@ -699,58 +703,6 @@ class GroupBuilder {
         spec.sram_write_bytes =
             spec.positions * kValueBytes + extra_shares[chunk] / 2 +
             extra_shares[chunk] % 2;
-        chunk_ids.push_back(add_compute(chunk_tag(pass_tag, g, s), spec, deps));
-      }
-    }
-    return chunk_ids;
-  }
-
-  /// Fused-stage variant: inner stages read raw intermediates (no decode,
-  /// no zero-skip — skip hardware sits on the scratchpad read path of coded
-  /// streams only).
-  std::vector<TaskId> emit_fused_stage_computes(
-      std::size_t idx, const TileGeometry& geo, Index mpp, bool is_head,
-      std::int64_t in_stream_bytes, Index in_elems, std::int64_t w_coded,
-      const std::vector<TaskId>& deps, const TaskTag& pass_tag) {
-    const nn::LayerSpec& layer = net_.layers[idx];
-    const LayerPlan& plan = plan_.layers[idx];
-    const Index tm_eff = layer.out_channels();
-    const auto map_parts = partition(tm_eff, plan.inter_groups);
-    const auto pos_parts = partition(geo.out_positions(), plan.intra_groups);
-
-    std::vector<Index> weights;
-    for (Index mp : map_parts) {
-      for (Index pp : pos_parts) weights.push_back(mp * pp);
-    }
-    const auto in_shares = distribute(in_stream_bytes, weights);
-    const auto w_shares = distribute(w_coded, weights);
-    std::int64_t if_decode_total = 0;
-    std::int64_t w_decode_total = 0;
-    if (is_head && eff_ifmap_codec(idx) != compress::CodecKind::None) {
-      if_decode_total = in_elems * kValueBytes;
-    }
-    if (w_coded > 0 && eff_kernel_codec(idx) != compress::CodecKind::None) {
-      w_decode_total = layer.weight_elems() * kValueBytes;
-    }
-    const auto if_decode_shares = distribute(if_decode_total, weights);
-    const auto w_decode_shares = distribute(w_decode_total, weights);
-
-    std::vector<TaskId> chunk_ids;
-    std::size_t chunk = 0;
-    for (std::size_t g = 0; g < map_parts.size(); ++g) {
-      for (std::size_t s = 0; s < pos_parts.size(); ++s, ++chunk) {
-        ComputeChunkSpec spec;
-        spec.positions = map_parts[g] * pos_parts[s];
-        spec.macs_per_position = mpp;
-        spec.ifmap_sparsity =
-            is_head ? layer_stats(idx).ifmap_sparsity : 0.0;
-        spec.ifmap_codec = is_head ? eff_ifmap_codec(idx)
-                                   : compress::CodecKind::None;
-        spec.kernel_codec = eff_kernel_codec(idx);
-        spec.ifmap_decode_raw = if_decode_shares[chunk];
-        spec.kernel_decode_raw = w_decode_shares[chunk];
-        spec.sram_read_bytes = in_shares[chunk] + w_shares[chunk];
-        spec.sram_write_bytes = spec.positions * kValueBytes;
         chunk_ids.push_back(add_compute(chunk_tag(pass_tag, g, s), spec, deps));
       }
     }

@@ -15,6 +15,12 @@ namespace mocha::dataflow {
 
 using nn::Index;
 
+/// Bytes of one raw stream value, and of one partial sum (32-bit
+/// accumulators) held in the scratchpad across channel passes.
+inline constexpr std::int64_t kValueBytes =
+    static_cast<std::int64_t>(sizeof(nn::Value));
+inline constexpr std::int64_t kPartialBytes = 4;
+
 /// Sparsity statistics of one layer's streams (zero fractions). Either
 /// assumed (nn::SparsityProfile) or measured from real tensors.
 struct LayerStreamStats {

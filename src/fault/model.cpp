@@ -186,32 +186,6 @@ FaultModel FaultModel::random_scenario(const fabric::FabricConfig& base,
   return model;
 }
 
-std::vector<FaultModel> fleet_scenarios(const fabric::FabricConfig& base,
-                                        int shards, int faulty_shards,
-                                        double kill_fraction,
-                                        std::uint64_t seed) {
-  MOCHA_CHECK(shards >= 1, "fleet_scenarios: shards=" << shards);
-  MOCHA_CHECK(faulty_shards >= 0 && faulty_shards <= shards,
-              "fleet_scenarios: faulty_shards=" << faulty_shards << " of "
-                                                << shards);
-  std::vector<FaultModel> fleet;
-  fleet.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    if (i >= faulty_shards) {
-      fleet.emplace_back();  // healthy
-      continue;
-    }
-    // splitmix64 finalizer decorrelates the per-shard seed: shard k's
-    // scenario does not change when the fleet is resized around it.
-    std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(i) + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    z ^= z >> 31;
-    fleet.push_back(FaultModel::random_scenario(base, kill_fraction, z));
-  }
-  return fleet;
-}
-
 fabric::FabricConfig degraded_config(const fabric::FabricConfig& base,
                                      const FaultModel& faults) {
   faults.validate(base);

@@ -88,16 +88,6 @@ struct FaultModel {
                                     double kill_fraction, std::uint64_t seed);
 };
 
-/// Per-shard scenario assignment for a serving fleet: `shards` independent
-/// scenarios, each drawn from a seed decorrelated per shard (so shard k's
-/// faults are stable under fleet resizing of the *other* shards). Shards
-/// with index >= `faulty_shards` stay healthy — the usual fleet experiment
-/// is "one or two shards go sick, the rest must carry the traffic".
-std::vector<FaultModel> fleet_scenarios(const fabric::FabricConfig& base,
-                                        int shards, int faulty_shards,
-                                        double kill_fraction,
-                                        std::uint64_t seed);
-
 /// The fabric that survives `faults`: dead PEs marked (grid geometry kept —
 /// partitions must plan around the holes), SRAM shrunk to the live banks,
 /// codec engines decremented (zero disables compression), DRAM bandwidth

@@ -9,21 +9,16 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace mocha::serve {
 namespace {
 
-// SplitMix64 finalizer: decorrelates (request id, attempt) into a fault
-// seed, so a retried attempt draws *different* injected flips — retrying
-// the identical seed would fail identically forever.
+// Decorrelates (request id, attempt) into a fault seed, so a retried
+// attempt draws *different* injected flips — retrying the identical seed
+// would fail identically forever.
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a * 0x9e3779b97f4a7c15ull + b;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
+  return util::mix64(a * 0x9e3779b97f4a7c15ull + b);
 }
 
 }  // namespace
@@ -579,19 +574,7 @@ void ServeEngine::shutdown(bool drain) {
 ServeStats ServeEngine::stats() const {
   ServeStats out;
   out.submitted = submitted_.load(std::memory_order_relaxed);
-  std::int64_t terminal = 0;
-  for (int i = 0; i < 8; ++i) {
-    out.by_outcome[i] = by_outcome_[i].load(std::memory_order_relaxed);
-    terminal += out.by_outcome[i];
-    const auto outcome = static_cast<Outcome>(i);
-    if (outcome == Outcome::Completed) {
-      out.completed += out.by_outcome[i];
-    } else if (outcome_is_shed(outcome)) {
-      out.shed += out.by_outcome[i];
-    } else if (outcome_is_failure(outcome)) {
-      out.failed += out.by_outcome[i];
-    }
-  }
+  const std::int64_t terminal = snapshot_outcomes(by_outcome_, &out);
   out.stolen_in = stolen_in_.load(std::memory_order_relaxed);
   out.stolen_out = stolen_out_.load(std::memory_order_relaxed);
   out.in_flight = out.submitted + out.stolen_in - out.stolen_out - terminal;

@@ -7,6 +7,7 @@
 // enforces (submitted == completed + shed + failed) falls out of that.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -48,6 +49,28 @@ const char* outcome_name(Outcome outcome);
 /// is neither. The three buckets partition every terminal outcome.
 bool outcome_is_shed(Outcome outcome);
 bool outcome_is_failure(Outcome outcome);
+
+/// Snapshots per-outcome counters into `stats->by_outcome` and adds them to
+/// its completed / shed / failed totals. Returns the terminal count.
+template <typename Stats>
+std::int64_t snapshot_outcomes(const std::atomic<std::int64_t> (&counters)[8],
+                               Stats* stats) {
+  std::int64_t terminal = 0;
+  for (int i = 0; i < 8; ++i) {
+    const std::int64_t n = counters[i].load(std::memory_order_relaxed);
+    stats->by_outcome[i] = n;
+    terminal += n;
+    const auto outcome = static_cast<Outcome>(i);
+    if (outcome == Outcome::Completed) {
+      stats->completed += n;
+    } else if (outcome_is_shed(outcome)) {
+      stats->shed += n;
+    } else if (outcome_is_failure(outcome)) {
+      stats->failed += n;
+    }
+  }
+  return terminal;
+}
 
 struct Request {
   /// Name the model was registered under.

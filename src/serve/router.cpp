@@ -606,19 +606,7 @@ void ShardRouter::shutdown(bool drain) {
 RouterStats ShardRouter::stats() const {
   RouterStats out;
   out.submitted = submitted_.load(std::memory_order_relaxed);
-  std::int64_t terminal = 0;
-  for (int i = 0; i < 8; ++i) {
-    out.by_outcome[i] = by_outcome_[i].load(std::memory_order_relaxed);
-    terminal += out.by_outcome[i];
-    const auto outcome = static_cast<Outcome>(i);
-    if (outcome == Outcome::Completed) {
-      out.completed += out.by_outcome[i];
-    } else if (outcome_is_shed(outcome)) {
-      out.shed += out.by_outcome[i];
-    } else if (outcome_is_failure(outcome)) {
-      out.failed += out.by_outcome[i];
-    }
-  }
+  const std::int64_t terminal = snapshot_outcomes(by_outcome_, &out);
   out.in_flight = out.submitted - terminal;
   out.hedges_issued = hedges_issued_.load(std::memory_order_relaxed);
   out.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);

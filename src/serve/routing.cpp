@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace mocha::serve {
 
@@ -19,23 +20,14 @@ std::uint64_t fnv1a(std::string_view key) {
   return h;
 }
 
-/// SplitMix64 finalizer: spreads the (model, slot, shard) lattice into
+/// The SplitMix64 finalizer spreads the (model, slot, shard) lattice into
 /// rendezvous scores.
-std::uint64_t mix(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
 std::uint64_t rendezvous_score(std::uint64_t model_hash, int slot, int shard) {
-  const std::uint64_t slot_h =
-      mix(0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(slot) + 1));
-  const std::uint64_t shard_h =
-      mix(0xc2b2ae3d27d4eb4full * (static_cast<std::uint64_t>(shard) + 1));
-  return mix(model_hash ^ slot_h ^ shard_h);
+  const std::uint64_t slot_h = util::mix64(
+      0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(slot) + 1));
+  const std::uint64_t shard_h = util::mix64(
+      0xc2b2ae3d27d4eb4full * (static_cast<std::uint64_t>(shard) + 1));
+  return util::mix64(model_hash ^ slot_h ^ shard_h);
 }
 
 }  // namespace

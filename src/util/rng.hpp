@@ -11,6 +11,14 @@
 
 namespace mocha::util {
 
+/// SplitMix64 finalizer: a bijective 64-bit mix that spreads nearby inputs
+/// (consecutive seeds, ids, lattice points) across the whole range.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** — small, fast, high-quality PRNG (Blackman & Vigna).
 /// Satisfies UniformRandomBitGenerator so it composes with <random>,
 /// but the common draws used by the generators are provided directly.
@@ -23,14 +31,10 @@ class Rng {
   /// Re-initializes the state via splitmix64 so any seed (including 0)
   /// yields a well-mixed state.
   void reseed(std::uint64_t seed) {
-    auto splitmix = [&seed]() {
+    for (auto& word : state_) {
       seed += 0x9E3779B97F4A7C15ull;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      return z ^ (z >> 31);
-    };
-    for (auto& word : state_) word = splitmix();
+      word = mix64(seed);
+    }
   }
 
   static constexpr result_type min() { return 0; }

@@ -152,12 +152,6 @@ TEST(Accelerator, PeakSramWithinConfig) {
   }
 }
 
-TEST(Accelerator, NullPlannerRejected) {
-  EXPECT_THROW(Accelerator(fabric::mocha_default_config(),
-                           model::default_tech(), nullptr),
-               util::CheckFailure);
-}
-
 TEST(Accelerator, EnergyBreakdownHasDramComponent) {
   const Accelerator acc = make_mocha_accelerator();
   const RunReport report = acc.run(nn::make_lenet5());

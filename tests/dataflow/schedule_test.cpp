@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/planner.hpp"
+#include "core/morph.hpp"
 #include "dataflow/tiling.hpp"
 #include "sim/dram.hpp"
 

@@ -102,10 +102,8 @@ TEST(Integration, CompressionAblationHelpsOnSparseWorkload) {
 
   core::MorphOptions no_comp;
   no_comp.allow_compression = false;
-  const core::Accelerator crippled(
-      fabric::mocha_default_config(), model::default_tech(),
-      std::make_shared<core::MorphController>(model::default_tech(),
-                                              no_comp));
+  const core::Accelerator crippled(fabric::mocha_default_config(),
+                                   model::default_tech(), no_comp);
   const core::RunReport stripped = crippled.run(net);
   const double full_edp =
       full.total_energy_pj * static_cast<double>(full.total_cycles);

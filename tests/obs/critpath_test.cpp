@@ -11,7 +11,6 @@
 
 #include "core/accelerator.hpp"
 #include "core/morph.hpp"
-#include "core/planner.hpp"
 #include "dataflow/schedule.hpp"
 #include "nn/generate.hpp"
 #include "nn/network.hpp"

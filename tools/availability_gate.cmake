@@ -17,7 +17,7 @@
 set(common
     --seed 42 --shards 3 --requests 200 --rate 400 --queue-cap 64
     --deadline-ms 1000 --stall-ms 2000 --hedge-ms 20
-    --kill-shard 1 --kill-after 0.25 --heal-shard-after 0.8
+    --kill-shard 1 --kill-after 0.25 --heal-after 0.8
     --availability-min 0.999)
 if(ISA)
   list(APPEND common --isa ${ISA})

@@ -1,8 +1,9 @@
 // Command-line plumbing shared by mocha_sim and mocha_serve: one flag
 // walker accepting "--key value" and "--key=value", strict number parsing,
-// the shared --isa/--help flags and the network names. Every malformed
-// command line ends the same way: a message on stderr, the usage text, and
-// exit 2 — never an abort, never a run with a half-understood flag.
+// the shared --isa/--help flags, the fault-scenario flags and the network
+// names. Every malformed command line ends the same way: a message on
+// stderr, the usage text, and exit 2 — never an abort, never a run with a
+// half-understood flag.
 #pragma once
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -178,6 +180,53 @@ class Parser {
   bool has_inline_ = false;
   bool took_value_ = false;
   std::string inline_value_;
+};
+
+/// The fault-scenario flags both tools take: --faults FILE (a
+/// mocha.fault.v1 scenario) or --fault-kill FRAC (a random scenario killing
+/// that fraction of the fabric, drawn with --fault-seed N per fabric).
+struct FaultFlags {
+  std::string file;
+  double kill = 0.0;
+  std::uint64_t seed = 42;
+  fault::FaultModel from_file;  // the --faults scenario, read by resolve()
+
+  /// Takes the parser's current flag if it is one of the three.
+  bool parse(Parser& cli) {
+    if (cli.flag() == "--faults") {
+      file = cli.value();
+    } else if (cli.flag() == "--fault-kill") {
+      kill = cli.double_value(0.0, 0.95);
+    } else if (cli.flag() == "--fault-seed") {
+      seed = static_cast<std::uint64_t>(
+          cli.int_value(0, std::numeric_limits<std::int64_t>::max()));
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  /// After the flag walk: refuses --faults with --fault-kill, then reads
+  /// the --faults file, so a bad one is a command-line error before any
+  /// work starts.
+  void resolve(const Parser& cli) {
+    if (!file.empty() && kill > 0.0) {
+      cli.bad_arg("--faults and --fault-kill are mutually exclusive");
+    }
+    if (!file.empty()) from_file = load_faults(file);
+  }
+
+  bool any() const { return !file.empty() || kill > 0.0; }
+
+  /// The scenario for the fabric `config`: the file's, a --fault-kill draw
+  /// for this config, or no fault.
+  fault::FaultModel scenario(const fabric::FabricConfig& config) const {
+    if (!file.empty()) return from_file;
+    if (kill > 0.0) {
+      return fault::FaultModel::random_scenario(config, kill, seed);
+    }
+    return {};
+  }
 };
 
 }  // namespace mocha::cli

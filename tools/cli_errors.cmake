@@ -101,11 +101,11 @@ expect_rejected(${SERVE} "usage" --isa avx9)             # not an ISA name
 # --- mocha_serve: cross-flag validation ---
 expect_rejected(${SERVE} "out of range" --kill-shard 2 --shards 2)
 expect_rejected(${SERVE} "out of range" --kill-shard 1)  # default --shards 1
-expect_rejected(${SERVE} "exceeds" --fleet-faulty 3 --shards 2)
-expect_rejected(${SERVE} "mutually exclusive" --shards 4 --fleet-faulty 1 --kill-shard 0)
-expect_rejected(${SERVE} "requires --kill-shard" --heal-shard-after 0.5)
+expect_rejected(${SERVE} "unknown flag: --fleet-faulty" --fleet-faulty 1)
+expect_rejected(${SERVE} "unknown flag: --heal-shard-after" --heal-shard-after 0.5)
 expect_rejected(${SERVE} "must be > --kill-after" --shards 2 --kill-shard 0
-                --kill-after 0.5 --heal-shard-after 0.25)
+                --kill-after 0.5 --heal-after 0.25)
+expect_rejected(${SERVE} "needs a fault to apply" --kill-after 0.2 --heal-after 0.7)
 expect_rejected(${SERVE} "needs --shards" --hedge-compare)
 expect_rejected(${SERVE} "contradictory" --shards 2 --hedge-compare --no-hedge)
 expect_rejected(${SERVE} "mutually exclusive" --faults f.json --fault-kill 0.5)

@@ -3,20 +3,29 @@
 //
 // Replays a synthetic Poisson request trace against a ShardRouter fronting
 // N shared-nothing ServeEngine shards hosting one or more models replicated
-// across R-shard replica sets, optionally under injected fault scenarios
+// across R-shard replica sets, optionally under an injected fault scenario
 // (resource kills, codec bit flips, execution stalls), and prints what the
-// fleet did about it: per-outcome counts, exact latency percentiles of the
-// accepted traffic, hedging / failover / stealing / canary activity,
-// per-shard health, and retry/fallback/breaker detail — then checks the
-// fleet conservation law (submitted == completed + shed + failed, one
-// terminal outcome per client request), the p99 of completed requests
-// against --slo-ms, and completed/submitted against --availability-min.
+// fleet did about it: per-outcome counts, exact nearest-rank latency
+// percentiles of the completed requests, hedging / failover / stealing /
+// canary activity, per-shard health, and retry/fallback/breaker detail —
+// then checks the fleet conservation law (submitted == completed + shed +
+// failed, one terminal outcome per client request), the p99 of completed
+// requests against --slo-ms, and completed/submitted against
+// --availability-min.
+//
+// Fault schedule — one scenario, one place, one window:
+//   what:  --faults FILE or --fault-kill FRAC, plus --codec-flip RATE and
+//          --stall-ms N; with --kill-shard alone, a random 50 % kill;
+//   where: shard --kill-shard K, or every shard without it;
+//   when:  from the moment the --kill-after fraction of requests has been
+//          submitted (default 0: before the first), cleared from the same
+//          shards at --heal-after (default: never).
 //
 // Fleet experiments:
 //   mocha_serve --shards 4 --requests 400 --rate 200
 //   mocha_serve --shards 3 --replicas 2 --kill-shard 1 --kill-after 0.25
 //               --codec-flip 1.0 --availability-min 0.999
-//   mocha_serve --shards 4 --fleet-faulty 1 --fault-kill 0.3
+//   mocha_serve --shards 4 --fault-kill 0.3 --heal-after 0.5
 //   mocha_serve --shards 2 --kill-shard 1 --stall-ms 80 --hedge-ms 10
 //               --hedge-compare
 //
@@ -32,7 +41,7 @@
 #include <cstdint>
 #include <iostream>
 #include <limits>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +54,7 @@
 #include "obs/trace.hpp"
 #include "serve/router.hpp"
 #include "serve/signal.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/timing.hpp"
 
@@ -82,21 +92,14 @@ struct Args {
   // Negative = report only.
   double availability_min = -1.0;
 
-  // Fault injection. --faults/--fault-kill/--codec-flip without
-  // --kill-shard apply fleet-wide (the pre-fleet behaviour); with
-  // --kill-shard they (plus --stall-ms) form the scenario applied to that
-  // one shard on the kill/heal schedule. --fleet-faulty draws decorrelated
-  // per-shard scenarios instead.
-  std::string faults_file;
-  double fault_kill = 0.0;
+  // Fault schedule (see the header): the scenario, the shard it strikes
+  // (-1: every shard) and the fractions of the run it starts and ends at.
+  mocha::cli::FaultFlags faults;
   double codec_flip = 0.0;
-  std::uint64_t fault_seed = 42;
-  double heal_after = 0.0;  // clear fleet-wide faults after this fraction
-  int kill_shard = -1;
-  double kill_after = 0.0;
-  double heal_shard_after = 0.0;
   std::int64_t stall_ms = 0;
-  int fleet_faulty = 0;
+  int kill_shard = -1;
+  std::optional<double> kill_after;
+  std::optional<double> heal_after;
 
   std::uint64_t seed = 1;
   bool json = false;
@@ -121,11 +124,10 @@ Args parse(int argc, char** argv) {
       "       [--replicas R] [--models N] [--availability-min FRAC]\n"
       "       [--faults FILE] [--fault-kill FRAC] [--codec-flip RATE] "
       "[--fault-seed N]\n"
-      "       [--heal-after FRAC] [--kill-shard K] [--kill-after FRAC] "
-      "[--heal-shard-after FRAC]\n"
-      "       [--stall-ms N] [--fleet-faulty N] [--seed N] [--json] "
-      "[--metrics] [--out FILE]\n"
-      "       [--trace FILE] [--isa scalar|avx2|neon]\n");
+      "       [--stall-ms N] [--kill-shard K] [--kill-after FRAC] "
+      "[--heal-after FRAC]\n"
+      "       [--seed N] [--json] [--metrics] [--out FILE] [--trace FILE]\n"
+      "       [--isa scalar|avx2|neon]\n");
   while (cli.next()) {
     const std::string& flag = cli.flag();
     if (flag == "--network") {
@@ -174,27 +176,16 @@ Args parse(int argc, char** argv) {
       args.models = static_cast<int>(cli.int_value(1, 64));
     } else if (flag == "--availability-min") {
       args.availability_min = cli.double_value(0.0, 1.0);
-    } else if (flag == "--faults") {
-      args.faults_file = cli.value();
-    } else if (flag == "--fault-kill") {
-      args.fault_kill = cli.double_value(0.0, 0.95);
     } else if (flag == "--codec-flip") {
       args.codec_flip = cli.double_value(0.0, 1.0);
-    } else if (flag == "--fault-seed") {
-      args.fault_seed = static_cast<std::uint64_t>(
-          cli.int_value(0, std::numeric_limits<std::int64_t>::max()));
-    } else if (flag == "--heal-after") {
-      args.heal_after = cli.double_value(0.0, 1.0);
+    } else if (flag == "--stall-ms") {
+      args.stall_ms = cli.int_value(1, 60'000);
     } else if (flag == "--kill-shard") {
       args.kill_shard = static_cast<int>(cli.int_value(0, 63));
     } else if (flag == "--kill-after") {
       args.kill_after = cli.double_value(0.0, 1.0);
-    } else if (flag == "--heal-shard-after") {
-      args.heal_shard_after = cli.double_value(0.0, 1.0);
-    } else if (flag == "--stall-ms") {
-      args.stall_ms = cli.int_value(1, 60'000);
-    } else if (flag == "--fleet-faulty") {
-      args.fleet_faulty = static_cast<int>(cli.int_value(0, 64));
+    } else if (flag == "--heal-after") {
+      args.heal_after = cli.double_value(0.0, 1.0);
     } else if (flag == "--seed") {
       args.seed = static_cast<std::uint64_t>(
           cli.int_value(0, std::numeric_limits<std::int64_t>::max()));
@@ -206,30 +197,23 @@ Args parse(int argc, char** argv) {
       args.out_file = cli.value();
     } else if (flag == "--trace") {
       args.trace_file = cli.value();
-    } else {
+    } else if (!args.faults.parse(cli)) {
       cli.common_flag();
     }
-  }
-  if (!args.faults_file.empty() && args.fault_kill > 0.0) {
-    cli.bad_arg("--faults and --fault-kill are mutually exclusive");
   }
   if (args.kill_shard >= args.shards) {
     cli.bad_arg("--kill-shard=" + std::to_string(args.kill_shard) +
                 " out of range for --shards=" + std::to_string(args.shards));
   }
-  if (args.fleet_faulty > args.shards) {
-    cli.bad_arg("--fleet-faulty=" + std::to_string(args.fleet_faulty) +
-                " exceeds --shards=" + std::to_string(args.shards));
+  const bool has_fault = args.faults.any() || args.codec_flip > 0.0 ||
+                         args.stall_ms > 0 || args.kill_shard >= 0;
+  if ((args.kill_after || args.heal_after) && !has_fault) {
+    cli.bad_arg(std::string(args.kill_after ? "--kill-after" : "--heal-after") +
+                " needs a fault to apply: --faults, --fault-kill, "
+                "--codec-flip, --stall-ms or --kill-shard");
   }
-  if (args.fleet_faulty > 0 && args.kill_shard >= 0) {
-    cli.bad_arg("--fleet-faulty and --kill-shard are mutually exclusive");
-  }
-  if (args.heal_shard_after > 0.0 && args.kill_shard < 0) {
-    cli.bad_arg("--heal-shard-after requires --kill-shard");
-  }
-  if (args.heal_shard_after > 0.0 &&
-      args.heal_shard_after <= args.kill_after) {
-    cli.bad_arg("--heal-shard-after must be > --kill-after");
+  if (args.heal_after && *args.heal_after <= args.kill_after.value_or(0.0)) {
+    cli.bad_arg("--heal-after must be > --kill-after");
   }
   if (args.hedge_compare && args.shards < 2) {
     cli.bad_arg("--hedge-compare needs --shards >= 2");
@@ -241,13 +225,13 @@ Args parse(int argc, char** argv) {
     cli.bad_arg("--replicas=" + std::to_string(args.replicas) +
                 " exceeds --shards=" + std::to_string(args.shards));
   }
+  args.faults.resolve(cli);
   return args;
 }
 
 struct RunResult {
   mocha::serve::RouterStats stats;
-  mocha::obs::HistogramData latency_us;
-  std::uint64_t p50 = 0;
+  std::uint64_t p50 = 0;  // latency of completed requests, microseconds
   std::uint64_t p90 = 0;
   std::uint64_t p99 = 0;
   double wall_s = 0;
@@ -264,20 +248,29 @@ struct RunResult {
   bool conserved = false;
 };
 
-/// One fault scenario from the legacy fleet-wide flags (--faults /
-/// --fault-kill / --codec-flip), or an empty model when none are set.
-mocha::fault::FaultModel scenario_from_flags(
+/// The fault schedule's scenario: the --faults / --fault-kill one with
+/// --codec-flip and --stall-ms on top; a random 50 % kill when --kill-shard
+/// names a shard and nothing else does; otherwise no fault.
+mocha::fault::FaultModel scheduled_fault(
     const Args& args, const mocha::fabric::FabricConfig& config) {
   using namespace mocha;
-  fault::FaultModel faults;
-  if (!args.faults_file.empty()) {
-    faults = cli::load_faults(args.faults_file);
-  } else if (args.fault_kill > 0.0) {
-    faults = fault::FaultModel::random_scenario(config, args.fault_kill,
-                                                args.fault_seed);
-  }
+  fault::FaultModel faults = args.faults.scenario(config);
   if (args.codec_flip > 0.0) faults.codec_bit_flip_rate = args.codec_flip;
+  if (args.stall_ms > 0) faults.exec_stall_ms = args.stall_ms;
+  if (args.kill_shard >= 0 && !faults.any()) {
+    faults = fault::FaultModel::random_scenario(config, 0.5, args.faults.seed);
+  }
   return faults;
+}
+
+/// Exact nearest-rank percentile `p` in (0, 100] of sorted samples.
+std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted,
+                           double p) {
+  if (sorted.empty()) return 0;
+  const double rank =
+      std::ceil(p / 100.0 * static_cast<double>(sorted.size()));
+  const auto index = static_cast<std::size_t>(std::max(1.0, rank)) - 1;
+  return sorted[std::min(index, sorted.size() - 1)];
 }
 
 /// Replays the trace once against a fresh fleet. Deterministic from
@@ -325,57 +318,23 @@ RunResult run_trace(const Args& args, const mocha::nn::Network& net,
                           nn::random_weights(net, 0.2, rng), config);
   }
 
-  // Fault assignment.
-  const fault::FaultModel flag_faults = scenario_from_flags(args, config);
-  bool fleet_wide = false;
-  if (args.fleet_faulty > 0) {
-    // Decorrelated per-shard scenarios: the first `fleet_faulty` shards get
-    // independent random kills, the rest stay healthy.
-    auto scenarios = fault::fleet_scenarios(
-        config, shards, std::min(args.fleet_faulty, shards),
-        args.fault_kill > 0.0 ? args.fault_kill : 0.25, args.fault_seed);
-    for (int i = 0; i < shards; ++i) {
-      if (args.codec_flip > 0.0 && scenarios[static_cast<std::size_t>(i)].any()) {
-        scenarios[static_cast<std::size_t>(i)].codec_bit_flip_rate =
-            args.codec_flip;
-      }
-      if (scenarios[static_cast<std::size_t>(i)].any()) {
-        router.set_shard_fault(i, scenarios[static_cast<std::size_t>(i)]);
-        std::cerr << "shard " << i << " fault: "
-                  << scenarios[static_cast<std::size_t>(i)].summary(config)
-                  << "\n";
-      }
-    }
-  } else if (args.kill_shard < 0 && flag_faults.any()) {
-    // Pre-fleet behaviour: the scenario applies to every shard at once.
-    fleet_wide = true;
-    for (int i = 0; i < shards; ++i) router.set_shard_fault(i, flag_faults);
-    std::cerr << "fleet-wide fault scenario: " << flag_faults.summary(config)
-              << "\n";
+  // Fault schedule: the scenario strikes its shards when request kill_at
+  // is about to be submitted and clears from them at request heal_at.
+  const fault::FaultModel scenario = scheduled_fault(args, config);
+  std::vector<int> struck;
+  for (int i = 0; i < shards; ++i) {
+    if (args.kill_shard < 0 || i == args.kill_shard) struck.push_back(i);
   }
-
-  // Kill/heal schedule for one shard-level fault domain.
-  fault::FaultModel shard_fault = flag_faults;
-  if (args.stall_ms > 0) shard_fault.exec_stall_ms = args.stall_ms;
-  if (args.kill_shard >= 0 && !shard_fault.any()) {
-    shard_fault =
-        fault::FaultModel::random_scenario(config, 0.5, args.fault_seed);
-  }
-  const int kill_at =
-      args.kill_shard >= 0
-          ? static_cast<int>(args.kill_after * args.requests)
-          : -1;
-  const int heal_shard_at =
-      args.heal_shard_after > 0.0
-          ? static_cast<int>(args.heal_shard_after * args.requests)
-          : -1;
-  const int heal_at =
-      fleet_wide && args.heal_after > 0.0
-          ? static_cast<int>(args.heal_after * args.requests)
-          : -1;
-  bool killed = false;
-  bool shard_healed = false;
-  bool healed = false;
+  const std::string where = args.kill_shard >= 0
+                                ? "shard " + std::to_string(args.kill_shard)
+                                : "all " + std::to_string(shards) + " shards";
+  const auto request_at = [&](std::optional<double> fraction) {
+    return fraction && scenario.any()
+               ? static_cast<int>(*fraction * args.requests)
+               : -1;
+  };
+  const int kill_at = request_at(args.kill_after.value_or(0.0));
+  const int heal_at = request_at(args.heal_after);
 
   // A handful of pre-generated inputs cycled across requests: arrival
   // timing, not input diversity, is what this tool exercises.
@@ -395,23 +354,14 @@ RunResult run_trace(const Args& args, const mocha::nn::Network& net,
       out.interrupted = true;
       break;
     }
-    if (i == kill_at && !killed) {
-      router.set_shard_fault(args.kill_shard, shard_fault);
-      killed = true;
-      std::cerr << "shard " << args.kill_shard << " killed after " << i
-                << " requests: " << shard_fault.summary(config) << "\n";
+    if (i == kill_at) {
+      for (int shard : struck) router.set_shard_fault(shard, scenario);
+      std::cerr << where << " killed after " << i
+                << " requests: " << scenario.summary(config) << "\n";
     }
-    if (i == heal_shard_at && killed && !shard_healed) {
-      router.clear_shard_fault(args.kill_shard);
-      shard_healed = true;
-      std::cerr << "shard " << args.kill_shard << " healed after " << i
-                << " requests\n";
-    }
-    if (i == heal_at && !healed) {
-      for (int s = 0; s < shards; ++s) router.clear_shard_fault(s);
-      healed = true;
-      std::cerr << "fleet-wide fault scenario healed after " << i
-                << " requests\n";
+    if (i == heal_at) {
+      for (int shard : struck) router.clear_shard_fault(shard);
+      std::cerr << where << " healed after " << i << " requests\n";
     }
     serve::Request request;
     request.model = model_names[static_cast<std::size_t>(i) %
@@ -432,25 +382,23 @@ RunResult run_trace(const Args& args, const mocha::nn::Network& net,
                    std::chrono::steady_clock::now() - wall_start)
                    .count();
 
-  // Every client ticket is terminal after shutdown; tally the outcomes into
-  // the same log2-bucketed histogram the metrics registry uses.
+  // Every client ticket is terminal after shutdown; the percentiles are
+  // exact over the completed requests' latencies.
+  std::vector<std::uint64_t> latency_us;
   for (const serve::TicketPtr& ticket : tickets) {
     const serve::Response& resp = ticket->wait();
     out.exec_attempts += resp.attempts;
     out.codec_retries += resp.codec_retries;
     if (resp.outcome == serve::Outcome::Completed) {
-      out.latency_us.add(static_cast<std::int64_t>(resp.latency_ns / 1000));
+      latency_us.push_back(resp.latency_ns / 1000);
     }
   }
+  std::sort(latency_us.begin(), latency_us.end());
+  out.p50 = nearest_rank(latency_us, 50);
+  out.p90 = nearest_rank(latency_us, 90);
+  out.p99 = nearest_rank(latency_us, 99);
 
   out.stats = router.stats();
-  const auto pct = [&](double p) {
-    return static_cast<std::uint64_t>(
-        std::llround(out.latency_us.percentile(p)));
-  };
-  out.p50 = pct(50);
-  out.p90 = pct(90);
-  out.p99 = pct(99);
   out.throughput_rps =
       out.wall_s > 0 ? static_cast<double>(out.stats.completed) / out.wall_s
                      : 0.0;
@@ -476,68 +424,87 @@ RunResult run_trace(const Args& args, const mocha::nn::Network& net,
   return out;
 }
 
-std::string fleet_json(const Args& args, const RunResult& r, bool slo_ok) {
+/// --hedge-compare's verdict: the unhedged replay's p99 and whether the
+/// hedged run beat it.
+struct HedgeCompare {
+  std::uint64_t unhedged_p99 = 0;
+  bool improved = false;
+};
+
+/// The mocha.serve.v5 report.
+std::string fleet_json(const Args& args, const RunResult& r, bool slo_ok,
+                       const std::optional<HedgeCompare>& compare) {
   using namespace mocha;
-  std::ostringstream json;
-  json << "{\n  \"schema\": \"mocha.serve.v5\",\n"
-       << "  \"network\": \"" << args.network << "\",\n"
-       << "  \"shards\": " << args.shards << ",\n"
-       << "  \"replicas\": " << r.replicas << ",\n"
-       << "  \"models\": " << args.models << ",\n"
-       << "  \"requests\": " << args.requests << ",\n"
-       << "  \"rate_rps\": " << args.rate << ",\n"
-       << "  \"interrupted\": " << (r.interrupted ? "true" : "false")
-       << ",\n"
-       << "  \"submitted\": " << r.stats.submitted << ",\n"
-       << "  \"completed\": " << r.stats.completed << ",\n"
-       << "  \"shed\": " << r.stats.shed << ",\n"
-       << "  \"failed\": " << r.stats.failed << ",\n"
-       << "  \"outcomes\": {";
-  bool first = true;
+  util::JsonWriter json;
+  json.begin_object();
+  json.key("schema").value("mocha.serve.v5");
+  json.key("network").value(args.network);
+  json.key("shards").value(args.shards);
+  json.key("replicas").value(r.replicas);
+  json.key("models").value(args.models);
+  json.key("requests").value(args.requests);
+  json.key("rate_rps").value(args.rate);
+  json.key("interrupted").value(r.interrupted);
+  json.key("submitted").value(r.stats.submitted);
+  json.key("completed").value(r.stats.completed);
+  json.key("shed").value(r.stats.shed);
+  json.key("failed").value(r.stats.failed);
+  json.key("outcomes").begin_object();
   for (int i = 1; i < 8; ++i) {
     const auto outcome = static_cast<serve::Outcome>(i);
-    if (!first) json << ", ";
-    json << "\"" << serve::outcome_name(outcome)
-         << "\": " << r.stats.outcome_count(outcome);
-    first = false;
+    json.key(serve::outcome_name(outcome))
+        .value(r.stats.outcome_count(outcome));
   }
-  json << "},\n"
-       << "  \"hedging\": {\"issued\": " << r.stats.hedges_issued
-       << ", \"wins\": " << r.stats.hedge_wins
-       << ", \"failovers\": " << r.stats.failovers
-       << ", \"delay_us\": " << r.stats.hedge_delay_ns / 1000 << "},\n"
-       << "  \"steals\": " << r.stats.steals << ",\n"
-       << "  \"canaries\": " << r.stats.canaries << ",\n"
-       << "  \"probes\": " << r.stats.probes << ",\n"
-       << "  \"retries\": " << r.exec_attempts << ",\n"
-       << "  \"codec_retries\": " << r.codec_retries << ",\n"
-       << "  \"breaker_trips\": " << r.breaker_trips << ",\n"
-       << "  \"breaker_recoveries\": " << r.breaker_recoveries << ",\n"
-       << "  \"latency_us\": {\"p50\": " << r.p50 << ", \"p90\": " << r.p90
-       << ", \"p99\": " << r.p99 << "},\n"
-       << "  \"throughput_rps\": " << r.throughput_rps << ",\n"
-       << "  \"slo_ms\": " << args.slo_ms << ",\n"
-       << "  \"availability\": " << r.availability << ",\n"
-       << "  \"availability_min\": " << args.availability_min << ",\n"
-       << "  \"conserved\": " << (r.conserved ? "true" : "false") << ",\n"
-       << "  \"slo_ok\": " << (slo_ok ? "true" : "false") << ",\n"
-       << "  \"shard_detail\": [";
-  for (std::size_t i = 0; i < r.stats.shards.size(); ++i) {
-    const serve::ShardSnapshot& s = r.stats.shards[i];
-    if (i > 0) json << ",";
-    json << "\n    {\"shard\": " << s.shard << ", \"state\": \""
-         << serve::health_state_name(s.state)
-         << "\", \"submitted\": " << s.stats.submitted
-         << ", \"completed\": " << s.stats.completed
-         << ", \"shed\": " << s.stats.shed
-         << ", \"failed\": " << s.stats.failed
-         << ", \"stolen_in\": " << s.stats.stolen_in
-         << ", \"stolen_out\": " << s.stats.stolen_out
-         << ", \"quarantines\": " << s.quarantines
-         << ", \"probes_started\": " << s.probes_started
-         << ", \"probes_abandoned\": " << s.probes_abandoned << "}";
+  json.end_object();
+  json.key("hedging").begin_object();
+  json.key("issued").value(r.stats.hedges_issued);
+  json.key("wins").value(r.stats.hedge_wins);
+  json.key("failovers").value(r.stats.failovers);
+  json.key("delay_us").value(r.stats.hedge_delay_ns / 1000);
+  json.end_object();
+  json.key("steals").value(r.stats.steals);
+  json.key("canaries").value(r.stats.canaries);
+  json.key("probes").value(r.stats.probes);
+  json.key("retries").value(r.exec_attempts);
+  json.key("codec_retries").value(r.codec_retries);
+  json.key("breaker_trips").value(r.breaker_trips);
+  json.key("breaker_recoveries").value(r.breaker_recoveries);
+  json.key("latency_us").begin_object();
+  json.key("p50").value(r.p50);
+  json.key("p90").value(r.p90);
+  json.key("p99").value(r.p99);
+  json.end_object();
+  json.key("throughput_rps").value(r.throughput_rps);
+  json.key("slo_ms").value(args.slo_ms);
+  json.key("availability").value(r.availability);
+  json.key("availability_min").value(args.availability_min);
+  json.key("conserved").value(r.conserved);
+  json.key("slo_ok").value(slo_ok);
+  json.key("shard_detail").begin_array();
+  for (const serve::ShardSnapshot& shard : r.stats.shards) {
+    json.begin_object();
+    json.key("shard").value(shard.shard);
+    json.key("state").value(serve::health_state_name(shard.state));
+    json.key("submitted").value(shard.stats.submitted);
+    json.key("completed").value(shard.stats.completed);
+    json.key("shed").value(shard.stats.shed);
+    json.key("failed").value(shard.stats.failed);
+    json.key("stolen_in").value(shard.stats.stolen_in);
+    json.key("stolen_out").value(shard.stats.stolen_out);
+    json.key("quarantines").value(shard.quarantines);
+    json.key("probes_started").value(shard.probes_started);
+    json.key("probes_abandoned").value(shard.probes_abandoned);
+    json.end_object();
   }
-  json << "\n  ]\n}";
+  json.end_array();
+  if (compare) {
+    json.key("hedge_compare").begin_object();
+    json.key("hedged_p99_us").value(r.p99);
+    json.key("unhedged_p99_us").value(compare->unhedged_p99);
+    json.key("improved").value(compare->improved);
+    json.end_object();
+  }
+  json.end_object();
   return json.str();
 }
 
@@ -614,32 +581,22 @@ int run(const Args& args) {
 
   // --hedge-compare: replay the identical trace with hedging disabled and
   // demand that hedging improved the measured p99.
-  bool compare_ok = true;
-  std::uint64_t unhedged_p99 = 0;
+  std::optional<HedgeCompare> compare;
   if (args.hedge_compare) {
     std::cerr << "hedge-compare: replaying with hedging disabled...\n";
-    RunResult base = run_trace(args, net, config, false);
-    unhedged_p99 = base.p99;
-    compare_ok = r.conserved && base.conserved && r.p99 < base.p99;
+    const RunResult base = run_trace(args, net, config, false);
+    compare = HedgeCompare{base.p99,
+                           r.conserved && base.conserved && r.p99 < base.p99};
     std::cout << "hedge-compare: hedged p99 " << r.p99 << " us vs unhedged "
               << base.p99 << " us -> "
-              << (compare_ok ? "improved" : "NO IMPROVEMENT") << "\n";
+              << (compare->improved ? "improved" : "NO IMPROVEMENT") << "\n";
     if (!base.conserved) {
       std::cerr << "hedge-compare: unhedged run violated conservation\n";
       return 4;
     }
   }
 
-  std::string json = fleet_json(args, r, slo_ok);
-  if (args.hedge_compare) {
-    // Splice the comparison into the report object.
-    const std::string tail = "\n}";
-    json.replace(json.rfind(tail), tail.size(),
-                 ",\n  \"hedge_compare\": {\"hedged_p99_us\": " +
-                     std::to_string(r.p99) + ", \"unhedged_p99_us\": " +
-                     std::to_string(unhedged_p99) + ", \"improved\": " +
-                     (compare_ok ? "true" : "false") + "}\n}");
-  }
+  const std::string json = fleet_json(args, r, slo_ok, compare);
 
   if (!args.out_file.empty()) {
     if (!obs::write_file_atomic(args.out_file, json + "\n")) {
@@ -665,7 +622,7 @@ int run(const Args& args) {
               << args.availability_min << "\n";
     return 7;
   }
-  if (!compare_ok) return 6;
+  if (compare && !compare->improved) return 6;
   return slo_ok ? 0 : 1;
 }
 

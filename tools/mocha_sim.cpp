@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -73,9 +72,7 @@ struct Args {
   bool trace_flows = false;  // dependence-edge flow events in the trace
   std::string dot_file;   // export the first group's schedule as Graphviz
   std::string trace_file; // write a Chrome trace-event JSON of the run
-  std::string faults_file;  // JSON fault scenario (fault/model.hpp)
-  double fault_kill = 0.0;  // random scenario killing this fraction
-  std::uint64_t fault_seed = 42;
+  mocha::cli::FaultFlags faults;      // degraded-fabric scenario
   std::string critpath_out;           // mocha.critpath.v1 report destination
   std::vector<mocha::obs::WhatIf> what_ifs;  // empty = the default sweep
   int top_k = 5;                      // bottleneck list length
@@ -154,19 +151,9 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--top-k") {
       args.top_k = static_cast<int>(cli.int_value(1, 100));
       report_only_flag = flag;
-    } else if (flag == "--faults") {
-      args.faults_file = cli.value();
-    } else if (flag == "--fault-kill") {
-      args.fault_kill = cli.double_value(0.0, 0.95);
-    } else if (flag == "--fault-seed") {
-      args.fault_seed = static_cast<std::uint64_t>(
-          cli.int_value(0, std::numeric_limits<std::int64_t>::max()));
-    } else {
+    } else if (!args.faults.parse(cli)) {
       cli.common_flag();
     }
-  }
-  if (!args.faults_file.empty() && args.fault_kill > 0.0) {
-    cli.bad_arg("--faults and --fault-kill are mutually exclusive");
   }
   if (args.trace_flows && args.trace_file.empty()) {
     cli.bad_arg("--trace-flows requires --trace");
@@ -177,6 +164,7 @@ Args parse(int argc, char** argv) {
   if (!report_only_flag.empty() && args.critpath_out.empty()) {
     cli.bad_arg(report_only_flag + " requires --critpath-out");
   }
+  args.faults.resolve(cli);
   return args;
 }
 
@@ -487,25 +475,15 @@ int run(const Args& args) {
     return 2;
   }
 
-  // Fault spec, if any — parsed once; the random scenario is drawn per
-  // config inside customize() so it matches whichever base geometry the
-  // selected accelerator uses.
-  const bool inject = !args.faults_file.empty() || args.fault_kill > 0.0;
-  const fault::FaultModel file_faults =
-      args.faults_file.empty() ? fault::FaultModel{}
-                               : cli::load_faults(args.faults_file);
-
+  // The fault scenario, if any, is drawn per config inside customize() so
+  // it matches whichever base geometry the selected accelerator uses.
   std::string fault_summary;  // for the manifest; set by customize()
   auto customize = [&](fabric::FabricConfig config) {
     if (args.sram_kib > 0) config.sram_bytes = args.sram_kib * 1024;
     if (args.pe > 0) config.pe_rows = config.pe_cols = args.pe;
     if (args.clock_mhz > 0) config.clock_ghz = args.clock_mhz / 1000.0;
-    if (inject) {
-      const fault::FaultModel faults =
-          args.faults_file.empty()
-              ? fault::FaultModel::random_scenario(config, args.fault_kill,
-                                                   args.fault_seed)
-              : file_faults;
+    if (args.faults.any()) {
+      const fault::FaultModel faults = args.faults.scenario(config);
       fault_summary = faults.summary(config);
       if (args.metrics) fault::record_metrics(config, faults);
       config = fault::degraded_config(config, faults);
@@ -525,10 +503,8 @@ int run(const Args& args) {
     options.objective = objective;
     options.allow_compression = !args.no_compression;
     options.allow_huffman = args.huffman;
-    return core::Accelerator(
-        customize(fabric::mocha_default_config()), model::default_tech(),
-        std::make_shared<core::MorphController>(model::default_tech(),
-                                                options));
+    return core::Accelerator(customize(fabric::mocha_default_config()),
+                             model::default_tech(), std::move(options));
   };
 
   if (args.metrics) obs::MetricsRegistry::global().set_enabled(true);
